@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import nullcontext
 
 from . import contention, eptas, harness, rounding
 from .exact import BudgetExceeded, opt_dp
@@ -142,16 +143,17 @@ def _load_scheme_input(path):
 def cmd_prcrs_mc(args):
     inp = _load_scheme_input(args.input)
     rows = contention.estimate_selectability(inp, args.trials, args.seed)
-    writer = csv.writer(sys.stdout if not args.out else open(args.out, "w", newline=""))
-    writer.writerow(["i", "a", "x", "p", "estimate", "half_width", "bound", "pass"])
     worst_ok = True
-    for r in rows:
-        ok = r.estimate >= r.bound - 4 * r.std_error
-        worst_ok = worst_ok and ok
-        writer.writerow(
-            [r.element, r.action, repr(r.x), repr(r.p), repr(r.estimate), repr(r.wilson_half),
-             repr(r.bound), int(ok)]
-        )
+    with open(args.out, "w", newline="") if args.out else nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["i", "a", "x", "p", "estimate", "half_width", "bound", "pass"])
+        for r in rows:
+            ok = r.estimate >= r.bound - 4 * r.std_error
+            worst_ok = worst_ok and ok
+            writer.writerow(
+                [r.element, r.action, repr(r.x), repr(r.p), repr(r.estimate), repr(r.wilson_half),
+                 repr(r.bound), int(ok)]
+            )
     return 0 if worst_ok else 1
 
 
@@ -193,8 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
         if instance:
             sp.add_argument("instance", help="instance JSON file")
         sp.add_argument("--out", default=None, help="write output here instead of stdout")
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--workers", type=int, default=1)
 
     sp = sub.add_parser("gen", help="generate a random instance")
     sp.add_argument("--seed", type=int, default=0)
@@ -203,7 +203,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--n-a", type=int, default=1)
     sp.add_argument("--patience", default="1,2", help="comma list of values, 'inf' allowed")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_gen)
 
     sp = sub.add_parser("opt", help="exact optimal-policy value")
@@ -225,6 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("round", help="solve the configuration LP and round it")
     common(sp)
+    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--policy", choices=("full", "greedy"), default="full")
     sp.add_argument("--trials", type=int, default=10000)
     sp.set_defaults(fn=cmd_round)
@@ -234,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100000)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--out", default=None)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_prcrs_mc)
 
     sp = sub.add_parser("star-eptas", help="approximation scheme on a star instance")
@@ -245,14 +244,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("verify-numerics", help="machine verification suites")
     sp.add_argument("--suite", default="all", choices=("b", "exchange", "fl", "final", "bennett", "all"))
     sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--workers", type=int, default=1)
     sp.set_defaults(fn=cmd_verify_numerics)
 
     sp = sub.add_parser("suite", help="run an experiment manifest")
     sp.add_argument("manifest")
     sp.add_argument("--out", default=None)
-    sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--workers", type=int, default=1)
     sp.add_argument("--filter", default=None, help="only ids containing this substring")
     sp.set_defaults(fn=cmd_suite)

@@ -11,7 +11,6 @@ and by 1 - 1/e for patience 1 or unbounded.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -111,12 +110,12 @@ def validate_input(inp: ContentionInput) -> list:
     return out
 
 
-def attenuation_probs(inp: ContentionInput, greedy: bool = False) -> np.ndarray:
+def attenuation_probs(inp: ContentionInput) -> np.ndarray:
     """Per-element attenuation-bit probability under the patience rule:
     patience 1 uses the suggestion mass, unbounded patience the
-    state-weighted mass, and finite patience >= 2 the finite-case curve."""
-    if greedy:
-        return np.ones(inp.n)
+    state-weighted mass, and finite patience >= 2 the finite-case curve.
+    Masses are summed over actions, so a multi-action element gets the
+    probability of its single-action aggregate."""
     xa = np.minimum(inp.aggregate_x(), 1.0)
     pxa = np.minimum(inp.aggregate_px(), 1.0)
     if inp.patience == 1:
@@ -124,229 +123,6 @@ def attenuation_probs(inp: ContentionInput, greedy: bool = False) -> np.ndarray:
     if is_infinite(inp.patience):
         return np.asarray(attenuation_infinite(pxa), dtype=float).reshape(inp.n)
     return np.asarray(attenuation_finite(pxa), dtype=float).reshape(inp.n)
-
-
-# ---------------------------------------------------------------------------
-# Action-space reduction
-# ---------------------------------------------------------------------------
-
-
-class ActionCoupler:
-    """Online coupling of a multi-action input to its single-action
-    aggregate.
-
-    Feeding the realized per-action suggestion bits produces the aggregate
-    suggestion X_i; the coupled state P_i equals the suggested action's
-    state when one is suggested and an auxiliary Bernoulli(p_i) draw
-    otherwise, so (X_i, P_i) are independent with the aggregate marginals
-    while X_i equals the action-sum and P_i X_i the state-weighted sum.
-    """
-
-    def __init__(self, inp: ContentionInput):
-        self.inp = inp
-        x = inp.aggregate_x()
-        px = inp.aggregate_px()
-        with np.errstate(invalid="ignore", divide="ignore"):
-            p = np.where(x > 0, px / np.where(x > 0, x, 1.0), 0.0)
-        self.x_agg = np.minimum(x, 1.0)
-        self.p_agg = np.minimum(p, 1.0)
-
-    def single_input(self) -> ContentionInput:
-        return ContentionInput(
-            actions=("*",),
-            n=self.inp.n,
-            patience=self.inp.patience,
-            p=self.p_agg[:, None],
-            x=self.x_agg[:, None],
-        )
-
-    def suggest(self, action_bits) -> int:
-        bits = np.asarray(action_bits)
-        if bits.sum() > 1:
-            raise ValueError("at most one action may be suggested per element")
-        return int(bits.sum())
-
-    def couple_state(self, i: int, suggested_action, state_bits, rng) -> int:
-        """Coupled P_i: the suggested action's state if any, else an
-        auxiliary Bernoulli(p_i) draw. Only called after the decision for i
-        is fixed, so reveals cannot leak into decisions."""
-        if suggested_action is not None:
-            return int(state_bits[suggested_action])
-        return int(rng.random() < self.p_agg[i])
-
-
-def reduce_to_single_action(inp: ContentionInput):
-    """Aggregate a multi-action input to a single-action one plus the
-    online coupler that transfers the selection guarantee back.
-
-    x_i sums the per-action suggestion masses; p_i is the suggestion-
-    weighted mean state probability (0 for mass-0 elements, which are never
-    suggested or queried).
-    """
-    coupler = ActionCoupler(inp)
-    return coupler.single_input(), coupler
-
-
-# ---------------------------------------------------------------------------
-# Scheme execution
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class ContentionTrace:
-    order: tuple  # arrival order of element indices
-    suggestions: dict  # i -> suggested action index (only suggested elements)
-    attenuation_bits: dict  # i -> bit (drawn on suggested arrivals)
-    states: dict  # (i, action index) -> revealed state bit
-    decisions: list  # (i, "pass" | "query")
-    queried: list  # (i, action index) in query order
-    output: tuple | None  # (i, action index) or None
-
-
-def validate_trace(trace: ContentionTrace, inp: ContentionInput) -> list:
-    out = []
-    if not is_infinite(inp.patience) and len(trace.queried) > int(inp.patience):
-        out.append("query budget exceeded")
-    if trace.output is not None:
-        i, a = trace.output
-        if trace.states.get((i, a)) != 1:
-            out.append("output without a successful state")
-        if trace.suggestions.get(i) != a:
-            out.append("output pair was not suggested")
-        if (i, a) not in trace.queried:
-            out.append("output pair was not queried")
-    if len([1 for i, d in trace.decisions if d == "query"]) != len(trace.queried):
-        out.append("decision/query mismatch")
-    return out
-
-
-def run_scheme(
-    inp: ContentionInput,
-    order,
-    suggestions,
-    state_oracle,
-    rng=None,
-    attenuation_bits: dict | None = None,
-    greedy: bool = False,
-) -> ContentionTrace:
-    """Execute the single-action scheme on one realization.
-
-    `order` is the arrival order (element indices), `suggestions` the
-    realized 0/1 suggestion bits, and `state_oracle(i)` reveals the state
-    of i, invoked only when i is queried. Attenuation bits are drawn from
-    `rng` per suggested arrival unless injected.
-    """
-    if len(inp.actions) != 1:
-        raise ValueError("run_scheme needs a single-action input; reduce first")
-    bprob = attenuation_probs(inp, greedy=greedy)
-    ell = inp.patience
-    queried, decisions = [], []
-    sug, bbits, states = {}, {}, {}
-    output = None
-    budget_left = math.inf if is_infinite(ell) else int(ell)
-    for i in order:
-        if not suggestions[i]:
-            continue
-        sug[i] = 0
-        if attenuation_bits is not None:
-            b = int(attenuation_bits[i])
-        else:
-            b = int(rng.random() < bprob[i])
-        bbits[i] = b
-        if b and budget_left > 0 and output is None:
-            decisions.append((i, "query"))
-            queried.append((i, 0))
-            budget_left -= 1
-            state = int(state_oracle(i))
-            states[(i, 0)] = state
-            if state:
-                output = (i, 0)
-        else:
-            decisions.append((i, "pass"))
-    return ContentionTrace(
-        order=tuple(order),
-        suggestions=sug,
-        attenuation_bits=bbits,
-        states=states,
-        decisions=decisions,
-        queried=queried,
-        output=output,
-    )
-
-
-def run_scheme_multi(
-    inp: ContentionInput,
-    order,
-    suggestions,
-    state_oracle,
-    rng,
-    attenuation_bits: dict | None = None,
-    greedy: bool = False,
-) -> ContentionTrace:
-    """Execute the scheme on a multi-action input via the aggregate coupling.
-
-    `suggestions[i]` is the per-action bit vector (at most one set);
-    `state_oracle(i, a)` reveals the state of (i, a). Elements are queried
-    via their suggested action exactly when the aggregate scheme queries.
-    Passed and unsuggested elements still receive coupled state reveals,
-    recorded in the trace but never consulted by any decision.
-    """
-    single, coupler = reduce_to_single_action(inp)
-    bprob = attenuation_probs(single, greedy=greedy)
-    ell = inp.patience
-    queried, decisions = [], []
-    sug, bbits, states = {}, {}, {}
-    output = None
-    budget_left = math.inf if is_infinite(ell) else int(ell)
-    for i in order:
-        bits = np.asarray(suggestions[i])
-        if coupler.suggest(bits) == 0:
-            # coupled auxiliary reveal for the aggregate trace law
-            coupler.couple_state(i, None, None, rng)
-            continue
-        a = int(np.nonzero(bits)[0][0])
-        sug[i] = a
-        if attenuation_bits is not None:
-            b = int(attenuation_bits[i])
-        else:
-            b = int(rng.random() < bprob[i])
-        bbits[i] = b
-        if b and budget_left > 0 and output is None:
-            decisions.append((i, "query"))
-            queried.append((i, a))
-            budget_left -= 1
-            state = int(state_oracle(i, a))
-            states[(i, a)] = state
-            if state:
-                output = (i, a)
-        else:
-            decisions.append((i, "pass"))
-            # post-decision reveal; recorded only
-            states[(i, a)] = int(state_oracle(i, a))
-    return ContentionTrace(
-        order=tuple(order),
-        suggestions=sug,
-        attenuation_bits=bbits,
-        states=states,
-        decisions=decisions,
-        queried=queried,
-        output=output,
-    )
-
-
-def draw_arrival_times(rng, n: int) -> np.ndarray:
-    """Independent uniform arrival times; ties have probability zero and
-    are broken by element index when sorting."""
-    return rng.uniform(0.0, 1.0, n)
-
-
-def order_from_times(times) -> np.ndarray:
-    return np.argsort(times, kind="stable")
-
-
-# ---------------------------------------------------------------------------
-# Monte Carlo selectability
-# ---------------------------------------------------------------------------
 
 
 # ---------------------------------------------------------------------------
@@ -411,21 +187,19 @@ def selection_bound(patience) -> float:
     return BETA
 
 
-def estimate_selectability(
-    inp: ContentionInput, trials: int, seed: int, greedy: bool = False
-) -> list[SelectabilityRow]:
+def estimate_selectability(inp: ContentionInput, trials: int, seed: int) -> list[SelectabilityRow]:
     """Monte Carlo estimate of P[i queried via a | suggested via a].
 
     Deterministic in (input, trials, seed). Trials run in fixed-size chunks
-    with all randomness pre-drawn per chunk from counter-keyed streams.
+    with all randomness pre-drawn per chunk from counter-keyed streams. The
+    query rule is the one `rounding._walk_trial` applies at each offline
+    vertex; this loop walks only the suggested elements of one input.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n, n_a = inp.n, len(inp.actions)
-    single, coupler = reduce_to_single_action(inp)
-    bprob = attenuation_probs(single, greedy=greedy)
+    bprob = attenuation_probs(inp)
     x_cum = np.cumsum(inp.x, axis=1)  # suggestion thresholds per element
-    x_tot = x_cum[:, -1]
     finite = not is_infinite(inp.patience)
     ell = int(inp.patience) if finite else 0
 

@@ -22,6 +22,7 @@ from .exact import (
     StarPolicy,
     _future_values_core,
     budget_override,
+    star_action_table,
     star_opt_core,
 )
 from .instances import Instance, is_infinite
@@ -252,7 +253,8 @@ def guess_space_bound(eps: float, n_candidates: int) -> float:
 def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
     """Best policy found over the whole guess space.
 
-    Returns (value, order as table indices, actions). Feasibility caching
+    Returns (value, order as table indices, actions, stats), where stats
+    counts the guesses tried and the feasible ones. Feasibility caching
     collapses guesses that induce the same multiset of (base, delta, jump)
     bucket descriptors, and reconstructions are cached by edge ordering.
     """
@@ -264,7 +266,7 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
     lpopt, candidates = estimate_value_candidates(table, ell, eps)
     best_val, best_order, best_actions = 0.0, (), ()
     if not candidates:
-        return best_val, best_order, best_actions
+        return best_val, best_order, best_actions, {"guesses_tried": 0, "feasible_guesses": 0}
     bound = guess_space_bound(eps, len(candidates))
     if bound > budget:
         raise BudgetExceeded(
@@ -327,11 +329,8 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
                 val, order, actions, _, _ = reconstruct(assign, plan, table)
                 if val > best_val:
                     best_val, best_order, best_actions = val, order, actions
-    eptas_core.last_stats = {"guesses_tried": guesses_tried, "feasible_guesses": feasible}
-    return best_val, best_order, best_actions
-
-
-eptas_core.last_stats = {}
+    stats = {"guesses_tried": guesses_tried, "feasible_guesses": feasible}
+    return best_val, best_order, best_actions, stats
 
 
 def eptas(inst: Instance, eps: float, guess_budget: int | None = None):
@@ -343,14 +342,8 @@ def eptas(inst: Instance, eps: float, guess_budget: int | None = None):
         raise ValueError("the star scheme needs exactly one online vertex")
     v = inst.V[0]
     edges = inst.incident_to_v(v)
-    table = []
-    for e in edges:
-        acts = [(a, inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q]
-        if not acts:
-            acts = [(inst.A[0] if inst.A else "", 0.0, 0.0)]
-        table.append(acts)
-    value, order, actions = eptas_core(table, inst.patience[v], eps, guess_budget)
-    stats = dict(eptas_core.last_stats)
+    table = star_action_table(inst, edges)
+    value, order, actions, stats = eptas_core(table, inst.patience[v], eps, guess_budget)
     policy = StarPolicy(edges=tuple(edges[i] for i in order), actions=actions, value=value)
     return policy, stats
 

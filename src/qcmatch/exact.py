@@ -148,13 +148,17 @@ def star_future_values(order, inst: Instance):
     """
     if len(set(order)) != len(order):
         raise ValueError("edges must be distinct")
-    pairs = []
-    for e in order:
+    return _future_values_core(star_action_table(inst, order))
+
+
+def star_action_table(inst: Instance, edges):
+    """Per edge, its listed (action, q, r) triples. An edge with none gets a
+    zero-probability placeholder, so every position has an action."""
+    table = []
+    for e in edges:
         acts = [(a, inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q]
-        if not acts:
-            acts = [(inst.A[0] if inst.A else "", 0.0, 0.0)]
-        pairs.append(acts)
-    return _future_values_core(pairs)
+        table.append(acts or [(inst.A[0] if inst.A else "", 0.0, 0.0)])
+    return table
 
 
 def _future_values_core(actions_per_position):
@@ -215,12 +219,7 @@ def star_opt_bruteforce(inst: Instance, ordering_budget: int | None = None) -> S
         raise ValueError("star brute force needs exactly one online vertex")
     v = inst.V[0]
     edges = inst.incident_to_v(v)
-    table = []
-    for e in edges:
-        acts = [(a, inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q]
-        if not acts:
-            acts = [(inst.A[0] if inst.A else "", 0.0, 0.0)]
-        table.append(acts)
+    table = star_action_table(inst, edges)
     value, order, actions = star_opt_core(table, inst.patience[v], ordering_budget)
     return StarPolicy(
         edges=tuple(edges[i] for i in order), actions=actions, value=value

@@ -341,7 +341,7 @@ def price_best_config(
 
         if eps is None:
             raise ValueError("eps required for approximate pricing")
-        value, order, actions = eptas_core(table, inst.patience[v], eps)
+        value, order, actions, _ = eptas_core(table, inst.patience[v], eps)
     else:
         raise ValueError(f"unknown pricing mode {mode!r}")
     if value <= 0.0 or not order:

@@ -51,19 +51,6 @@ def make_report(
     )
 
 
-def summarize(values, lp_value=None, opt_value=None) -> SimReport:
-    """Report for a sequence of per-trial values (sample variance, ddof=1)."""
-    n = len(values)
-    if n < 1:
-        raise ValueError("need at least one trial")
-    mean = float(sum(values)) / n
-    if n == 1:
-        var = 0.0
-    else:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-    return make_report(mean, var, n, lp_value, opt_value)
-
-
 def wilson_halfwidth(successes: int, n: int, z: float = Z95) -> float:
     """Half-width of the Wilson score interval for a binomial proportion."""
     if n <= 0:

@@ -34,7 +34,6 @@ class QueryEvent:
     decision: str  # "query" | "pass"
     b_bit: int | None
     bit: int  # the success bit consulted (real on query, simulated on pass)
-    real: bool
     success: bool
 
 
@@ -46,13 +45,6 @@ class RunOutcome:
     chosen: dict  # v -> Config | None
     events: list = field(default_factory=list)
     mode: str = "full"
-
-    def suggestion_bits(self) -> dict:
-        """Realized suggestion indicators: positions actually reached."""
-        return {(ev.edge, ev.action): 1 for ev in self.events}
-
-    def queried_edges(self) -> list:
-        return [(ev.edge, ev.action, ev.real, ev.bit) for ev in self.events if ev.decision == "query"]
 
 
 class _Compiled:
@@ -104,40 +96,24 @@ class _Compiled:
             self.cum.append(np.cumsum(weights).tolist())
             self.plans.append(compiled)
 
-        # offline-side scheme state: attenuation probability per (u, v)
+        # offline-side scheme state: attenuation probability per (u, v);
+        # greedy keeps every bit at 1, and patience 0 never queries
         self.rem_init = [
             _BIG if is_infinite(inst.patience[u]) else int(inst.patience[u]) for u in self.u_list
         ]
-        if scheme in ("full", "greedy"):
-            for u, inp in scheme_inputs(inst, sol).items():
-                bad = ct.validate_input(inp)
-                if bad:
-                    raise ValueError(f"marginals at {u} are not a valid scheme input: {bad}")
-        marg = sol.marginals
         self.b_mat = np.ones((len(self.u_list), len(self.v_list)))
-        if scheme == "full":
-            for ui, u in enumerate(self.u_list):
-                ell_u = inst.patience[u]
-                for vi, v in enumerate(self.v_list):
-                    xa = sum(marg.get(((u, v), a), 0.0) for a in self.a_list)
-                    pxa = sum(
-                        inst.q_of((u, v), a) * marg.get(((u, v), a), 0.0) for a in self.a_list
-                    )
-                    xa, pxa = min(xa, 1.0), min(pxa, 1.0)
-                    if ell_u == 1:
-                        self.b_mat[ui, vi] = ct.attenuation_infinite(xa)
-                    elif is_infinite(ell_u):
-                        self.b_mat[ui, vi] = ct.attenuation_infinite(pxa)
-                    elif int(ell_u) >= 2:
-                        self.b_mat[ui, vi] = ct.attenuation_finite(pxa)
-                    # patience 0 never queries; the bit is irrelevant
+        if scheme in ("full", "greedy"):
+            inputs = scheme_inputs(inst, sol)  # validates the marginals
+            if scheme == "full":
+                for u, inp in inputs.items():
+                    self.b_mat[self.u_index[u]] = ct.attenuation_probs(inp)
 
 
 def scheme_inputs(inst: Instance, sol: LpSolution) -> dict:
     """The per-offline-vertex contention inputs induced by the marginals.
 
-    Their feasibility is exactly the marginal-feasibility lemma; callers can
-    validate each with contention.validate_input.
+    Their feasibility is exactly the marginal-feasibility lemma; building
+    them raises ValueError when it fails. Rows follow inst.V.
     """
     out = {}
     for u in inst.U:
@@ -211,7 +187,7 @@ def _walk_trial(comp, perm, u_cfg_row, q_row, qt_row, b_row, mode, sug_counts=No
                         QueryEvent(
                             v=v_name, position=j, edge=comp.edge_list[ei], action=comp.a_list[ai],
                             decision="query", b_bit=None if relaxed else int(bool(b)),
-                            bit=int(bool(bit)), real=True, success=bool(bit),
+                            bit=int(bool(bit)), success=bool(bit),
                         )
                     )
                 if bit:
@@ -226,7 +202,7 @@ def _walk_trial(comp, perm, u_cfg_row, q_row, qt_row, b_row, mode, sug_counts=No
                         QueryEvent(
                             v=v_name, position=j, edge=comp.edge_list[ei], action=comp.a_list[ai],
                             decision="pass", b_bit=int(bool(b)), bit=int(bool(bit)),
-                            real=False, success=False,
+                            success=False,
                         )
                     )
                 if bit:
@@ -241,9 +217,14 @@ def _mode_of(policy: str) -> str:
 
 
 def run_once(sol: LpSolution, inst: Instance, seed: int, policy: str = "full", trial: int = 0) -> RunOutcome:
-    """Execute one fully-logged trial; deterministic in (seed, trial)."""
+    """Execute one fully-logged trial; deterministic in (seed, trial).
+
+    "relaxed" queries every reached position (one-sided matching); "full"
+    guards each query with the offline vertex's scheme and outputs a proper
+    two-sided matching; "greedy" is "full" with attenuation forced to 1.
+    """
     mode = _mode_of(policy)
-    comp = _Compiled(inst, sol, "full" if mode == "full" else mode)
+    comp = _Compiled(inst, sol, mode)
     perms, u_cfg, q_bits, qt_bits, b_bits = _chunk_draws(comp, seed, trial, 1, mode)
     events: list = []
     reward, matched, chosen = _walk_trial(
@@ -258,22 +239,6 @@ def run_once(sol: LpSolution, inst: Instance, seed: int, policy: str = "full", t
         events=events,
         mode=mode,
     )
-
-
-def relaxed_round(sol: LpSolution, inst: Instance, seed: int, trial: int = 0) -> RunOutcome:
-    """One-sided rounding: every reached position is really queried."""
-    return run_once(sol, inst, seed, policy="relaxed", trial=trial)
-
-
-def full_round(sol: LpSolution, inst: Instance, seed: int, trial: int = 0) -> RunOutcome:
-    """Scheme-guarded rounding; outputs a proper two-sided matching. The
-    per-offline-vertex scheme inputs are validated at compile time."""
-    return run_once(sol, inst, seed, policy="full", trial=trial)
-
-
-def greedy_round(sol: LpSolution, inst: Instance, seed: int, trial: int = 0) -> RunOutcome:
-    """Full rounding with attenuation forced to 1 (query when possible)."""
-    return run_once(sol, inst, seed, policy="greedy", trial=trial)
 
 
 def simulate(

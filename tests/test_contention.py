@@ -1,5 +1,4 @@
 import math
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -40,126 +39,64 @@ def test_input_validation():
 
 
 def test_reduce_aggregates():
-    inp = ct.make_input(("a0", "a1"), 2, [[1.0, 0.5]], [[0.3, 0.2]])
-    single, coupler = ct.reduce_to_single_action(inp)
-    assert abs(single.x[0, 0] - 0.5) <= 1e-15
-    assert abs(single.p[0, 0] - 0.8) <= 1e-15
-    # zero-mass element gets p = 0
-    inp2 = ct.make_input(("a0", "a1"), 2, [[1.0, 0.5]], [[0.0, 0.0]])
-    single2, _ = ct.reduce_to_single_action(inp2)
-    assert single2.p[0, 0] == 0.0
+    # attenuation depends on an element's action-summed masses only
+    p2 = [[1.0, 0.5], [0.2, 0.9]]
+    x2 = [[0.3, 0.2], [0.1, 0.4]]
+    x1 = [0.5, 0.5]
+    p1 = [(1.0 * 0.3 + 0.5 * 0.2) / 0.5, (0.2 * 0.1 + 0.9 * 0.4) / 0.5]
+    for ell in (1, 2, INFINITE):
+        multi = ct.attenuation_probs(ct.make_input(("a0", "a1"), ell, p2, x2))
+        single = ct.attenuation_probs(ct.make_input(("*",), ell, p1, x1))
+        np.testing.assert_allclose(multi, single, rtol=0, atol=1e-15)
 
 
-def test_reduce_identity_for_single_action():
-    inp = ct.make_input(("*",), 2, [0.7, 0.2], [0.4, 0.6])
-    single, _ = ct.reduce_to_single_action(inp)
-    assert np.allclose(single.x, inp.x)
-    assert np.allclose(single.p, inp.p)
-
-
-def test_coupling_marginals():
-    inp = ct.make_input(("a0", "a1"), 2, [[1.0, 0.5], [0.2, 0.9]], [[0.3, 0.2], [0.1, 0.4]])
-    single, coupler = ct.reduce_to_single_action(inp)
-    rng = np.random.default_rng(0)
-    trials = 100_000
-    x_sum = np.zeros(2)
-    px_sum = np.zeros(2)
-    for _ in range(trials):
-        for i in range(2):
-            u = rng.random()
-            if u < inp.x[i, 0]:
-                a = 0
-            elif u < inp.x[i, 0] + inp.x[i, 1]:
-                a = 1
-            else:
-                a = None
-            bits = [0, 0]
-            if a is not None:
-                bits[a] = 1
-            xi = coupler.suggest(bits)
-            states = [int(rng.random() < inp.p[i, k]) for k in range(2)]
-            pi = coupler.couple_state(i, a, states, rng)
-            x_sum[i] += xi
-            assert xi == sum(bits)  # exact coupling identity
-            px_sum[i] += pi * xi
-            if xi:
-                assert pi * xi == sum(s * b for s, b in zip(states, bits))
-    xa = inp.aggregate_x()
-    pxa = inp.aggregate_px()
-    for i in range(2):
-        se_x = math.sqrt(xa[i] * (1 - xa[i]) / trials)
-        se_px = math.sqrt(pxa[i] * (1 - pxa[i]) / trials)
-        assert abs(x_sum[i] / trials - xa[i]) <= 4 * se_x
-        assert abs(px_sum[i] / trials - pxa[i]) <= 4 * se_px
-
-
-def run_single_many(inp, trials, seed, greedy=False):
-    """Drive run_scheme directly; returns per-element query frequency among
-    suggested trials."""
-    rng = np.random.default_rng(seed)
-    n = inp.n
-    cond = np.zeros(n)
-    hit = np.zeros(n)
-    for _ in range(trials):
-        order = rng.permutation(n)
-        sug = (rng.uniform(size=n) < inp.x[:, 0]).astype(int)
-        states = (rng.uniform(size=n) < inp.p[:, 0]).astype(int)
-        trace = ct.run_scheme(inp, order, sug, lambda i: states[i], rng=rng, greedy=greedy)
-        assert ct.validate_trace(trace, inp) == []
-        for i in range(n):
-            if sug[i]:
-                cond[i] += 1
-        for i, a in trace.queried:
-            hit[i] += 1
-    return hit, cond
+def _assert_single_element_rate(inp, seed, expect):
+    (row,) = ct.estimate_selectability(inp, 60_000, seed=seed)
+    se = math.sqrt(expect * (1 - expect) / row.trials_conditioned)
+    assert abs(row.estimate - expect) <= 4.5 * se
 
 
 def test_run_scheme_single_element_finite():
     inp = ct.make_input(("*",), 2, [1.0], [1.0])
-    hit, cond = run_single_many(inp, 60_000, 1)
-    b1 = ct.attenuation_finite(1.0)
-    se = math.sqrt(b1 * (1 - b1) / cond[0])
-    assert abs(hit[0] / cond[0] - b1) <= 4.5 * se
+    _assert_single_element_rate(inp, 1, ct.attenuation_finite(1.0))
 
 
 def test_run_scheme_single_element_unbounded():
     inp = ct.make_input(("*",), INFINITE, [1.0], [1.0])
-    hit, cond = run_single_many(inp, 60_000, 2)
-    se = math.sqrt(ONE_MINUS_INV_E * (1 - ONE_MINUS_INV_E) / cond[0])
-    assert abs(hit[0] / cond[0] - ONE_MINUS_INV_E) <= 4.5 * se
+    _assert_single_element_rate(inp, 2, ONE_MINUS_INV_E)
 
 
-def test_run_scheme_no_suggestions():
-    inp = ct.make_input(("*",), 2, [0.5, 0.5], [0.5, 0.5])
-    trace = ct.run_scheme(inp, [0, 1], [0, 0], lambda i: 1, rng=np.random.default_rng(0))
-    assert trace.queried == [] and trace.output is None and trace.decisions == []
-
-
-def test_run_scheme_requires_single_action():
-    inp = ct.make_input(("a", "b"), 2, [[1.0, 1.0]], [[0.2, 0.2]])
-    with pytest.raises(ValueError):
-        ct.run_scheme(inp, [0], [1], lambda i: 1, rng=np.random.default_rng(0))
+def test_selectability_two_element_closed_form():
+    # With two elements, j blocks i only by arriving first (prob. 1/2),
+    # being suggested and passing its attenuation bit, and then either
+    # spending the last query (patience 1) or being output (unbounded, with
+    # probability p_j): P[i queried | i suggested] = b_i (1 - x_j b_j s_j / 2)
+    # with s_j = 1 and s_j = p_j respectively.
+    cases = [
+        (1, [0.0, 0.0], [0.5, 0.3], [1.0, 1.0]),
+        (INFINITE, [1.0, 1.0], [0.6, 0.4], [1.0, 1.0]),
+        (INFINITE, [1.0, 0.5], [0.7, 0.6], [1.0, 0.5]),
+    ]
+    for ell, p, x, s in cases:
+        inp = ct.make_input(("*",), ell, p, x)
+        b = ct.attenuation_probs(inp)
+        rows = ct.estimate_selectability(inp, 200_000, seed=5)
+        assert [r.element for r in rows] == [0, 1]
+        for r in rows:
+            i, j = r.element, 1 - r.element
+            expect = b[i] * (1 - x[j] * b[j] * s[j] / 2)
+            se = math.sqrt(expect * (1 - expect) / r.trials_conditioned)
+            assert abs(r.estimate - expect) <= 5 * se, (ell, p, x, r)
 
 
 def test_multi_action_trace_invariants_and_no_phantom_queries():
-    inp = ct.make_input(("a0", "a1"), 2, [[1.0, 0.5], [0.2, 0.9]], [[0.3, 0.2], [0.1, 0.4]])
-    rng = np.random.default_rng(3)
-    for _ in range(2000):
-        order = rng.permutation(2)
-        bits = []
-        for i in range(2):
-            u = rng.random()
-            row = [0, 0]
-            if u < inp.x[i, 0]:
-                row[0] = 1
-            elif u < inp.x[i, 0] + inp.x[i, 1]:
-                row[1] = 1
-            bits.append(row)
-        states = (rng.uniform(size=(2, 2)) < inp.p).astype(int)
-        trace = ct.run_scheme_multi(inp, order, bits, lambda i, a: states[i, a], rng)
-        assert ct.validate_trace(trace, inp) == []
-        for i, a in trace.queried:
-            assert bits[i][a] == 1  # never queried via an unsuggested action
+    inp = ct.make_input(("a0", "a1"), 2, [[1.0, 0.5], [0.2, 0.9]], [[0.3, 0.0], [0.1, 0.4]])
+    rows = ct.estimate_selectability(inp, 2000, seed=3)
+    expect = {(i, inp.actions[a]) for i in range(inp.n) for a in range(2) if inp.x[i, a] > 0}
+    assert {(r.element, r.action) for r in rows} == expect
+    assert len(rows) == len(expect)
+    for r in rows:
+        assert 0 <= r.queried <= r.trials_conditioned, r
 
 
 def test_selectability_transfer_multi_action():
@@ -202,19 +139,3 @@ def test_selectability_single_heavy_corner():
     inp = ct.single_heavy_input(3, x1=0.8)
     for r in ct.estimate_selectability(inp, 150_000, seed=40):
         assert r.estimate >= r.bound - 4 * r.std_error, r
-
-
-def test_arrival_models_same_order_law():
-    rng = np.random.default_rng(77)
-    n, trials = 3, 30_000
-    counts_perm = Counter()
-    counts_time = Counter()
-    for _ in range(trials):
-        counts_perm[tuple(rng.permutation(n))] += 1
-        counts_time[tuple(ct.order_from_times(ct.draw_arrival_times(rng, n)))] += 1
-    expect = trials / 6
-    sd = math.sqrt(trials * (1 / 6) * (5 / 6))
-    for counter in (counts_perm, counts_time):
-        assert len(counter) == 6
-        for perm, cnt in counter.items():
-            assert abs(cnt - expect) <= 5 * sd, (perm, cnt)

@@ -194,5 +194,8 @@ def test_eptas_all_zero():
     inst = make_instance(
         ["u"], ["v"], ["a"], {(("u", "v"), "a"): 0.5}, {(("u", "v"), "a"): 0.0}, {"u": 1, "v": 1}
     )
-    pol, _ = ep.eptas(inst, 0.5)
+    # a preceding call must not leak its guess counts into this one
+    ep.eptas(random_star(7, patience=2), 0.5)
+    pol, stats = ep.eptas(inst, 0.5)
     assert pol.value == 0.0 and pol.edges == ()
+    assert stats == {"guesses_tried": 0, "feasible_guesses": 0}

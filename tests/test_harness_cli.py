@@ -167,6 +167,11 @@ def test_cli_prcrs_mc(tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "i,a,x,p,estimate,half_width,bound,pass"
     assert len(out) == 3
+    out_path = tmp_path / "rows.csv"
+    assert run_cli(["prcrs-mc", "--input", str(path), "--trials", "30000", "--seed", "2",
+                    "--out", str(out_path)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_path.read_text().splitlines() == out
 
 
 def test_cli_star_eptas(tmp_path, capsys):
@@ -218,6 +223,9 @@ def test_cli_suite_exit_codes(tmp_path, capsys):
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["unknown-command"])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["opt", "instance.json", "--workers", "2"])  # only suite takes --workers
     assert exc.value.code == 2
 
 

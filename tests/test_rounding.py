@@ -23,7 +23,7 @@ def solved(inst):
 def test_relaxed_round_deterministic_config():
     inst = single_edge_instance()
     sol = solved(inst)
-    out = rd.relaxed_round(sol, inst, seed=1)
+    out = rd.run_once(sol, inst, seed=1, policy="relaxed")
     assert out.matching == [(("u", "v"), "a")]
     assert out.reward == 1.0
 
@@ -61,7 +61,7 @@ def test_full_round_empty_solution():
     )
     # zero-reward LP puts no mass anywhere
     assert sol.objective == 0.0
-    out = rd.full_round(sol, inst, seed=4)
+    out = rd.run_once(sol, inst, seed=4, policy="full")
     assert out.matching == [] and out.reward == 0.0
 
 
@@ -95,7 +95,7 @@ def test_greedy_single_edge_unit_patience_always_matched():
     inst = single_edge_instance(q=1.0, r=1.0, lu=1, lv=1)
     sol = solved(inst)
     for trial in range(50):
-        out = rd.greedy_round(sol, inst, seed=9, trial=trial)
+        out = rd.run_once(sol, inst, seed=9, policy="greedy", trial=trial)
         assert out.matching == [(("u", "v"), "a")]
 
 
