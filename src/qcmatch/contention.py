@@ -16,23 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .instances import is_infinite
-from .numerics import BETA, ONE_MINUS_INV_E, attenuation_denominator
+from .numerics import BETA, ONE_MINUS_INV_E, attenuation_finite
 from .reports import std_error, wilson_halfwidth
 from .rng import stream_rng
-
-
-def attenuation_finite(s) -> float:
-    """Dampening probability for finite patience >= 2.
-
-    b(s) = BETA / int_0^1 e^{-y(1-s)} P[Poisson(2y) < 3] dy. The denominator
-    equals BETA at s = 0, so b(0) = 1; it grows with s, so b is decreasing.
-    The same function serves every finite patience level: it is calibrated
-    against the patience-3 worst case, which dominates the others.
-    """
-    arr = np.asarray(s, dtype=float)
-    if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
-        raise ValueError("attenuation argument must lie in [0, 1]")
-    return BETA / attenuation_denominator(np.clip(arr, 0.0, 1.0) if arr.ndim else min(max(float(arr), 0.0), 1.0))
 
 
 def attenuation_infinite(s):
@@ -192,8 +178,9 @@ def estimate_selectability(inp: ContentionInput, trials: int, seed: int) -> list
 
     Deterministic in (input, trials, seed). Trials run in fixed-size chunks
     with all randomness pre-drawn per chunk from counter-keyed streams. The
-    query rule is the one `rounding._walk_trial` applies at each offline
-    vertex; this loop walks only the suggested elements of one input.
+    query rule is the one `rounding._walk_chunk` applies at each offline
+    vertex; this walk steps every trial of a chunk in lockstep over the
+    arrival rank of one input's suggested elements.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -230,31 +217,25 @@ def estimate_selectability(inp: ContentionInput, trials: int, seed: int) -> list
         sug_mask = act >= 0
         b_bits = u_b < bprob[None, :]
 
-        rows, cols = np.nonzero(sug_mask)
-        bounds = np.searchsorted(rows, np.arange(c + 1))
-        act_l = act.tolist()
-        ykey_l = ykey.tolist()
-        b_l = b_bits.tolist()
-        up_l = u_p.tolist()
-        p_mat = inp.p
-        for t in range(c):
-            idx = cols[bounds[t] : bounds[t + 1]].tolist()
-            if not idx:
-                continue
-            yrow = ykey_l[t]
-            idx.sort(key=lambda i: yrow[i])
-            arow, brow, prow = act_l[t], b_l[t], up_l[t]
-            budget = ell
-            out = False
-            for i in idx:
-                a = arow[i]
-                cond[i, a] += 1
-                if out or (finite and budget == 0) or not brow[i]:
-                    continue
-                hits[i, a] += 1
-                budget -= 1
-                if prow[i] < p_mat[i, a]:
-                    out = True
+        # each trial's suggested elements in arrival order, stepped in
+        # lockstep over arrival rank; ties keep element order
+        order = np.argsort(np.where(sug_mask, ykey, np.inf), axis=1, kind="stable")
+        n_sug = sug_mask.sum(axis=1)
+        budget = np.full(c, ell)
+        out = np.zeros(c, dtype=bool)
+        t = np.arange(c)
+        for rank in range(int(n_sug.max(initial=0))):
+            t = t[n_sug[t] > rank]
+            i = order[t, rank]
+            a = act[t, i]
+            cond += np.bincount(i * n_a + a, minlength=n * n_a).reshape(n, n_a)
+            query = ~out[t] & b_bits[t, i]
+            if finite:
+                query &= budget[t] > 0
+            tq, iq, aq = t[query], i[query], a[query]
+            hits += np.bincount(iq * n_a + aq, minlength=n * n_a).reshape(n, n_a)
+            budget[tq] -= 1
+            out[tq] = u_p[tq, iq] < inp.p[iq, aq]
         done += c
         chunk_idx += 1
 

@@ -45,7 +45,6 @@ def expected_sequence_reward(qr_pairs) -> float:
 @dataclass
 class OptDpResult:
     value: float
-    policy: dict  # state -> (edge, action) | None
     states_expanded: int
 
 
@@ -80,7 +79,7 @@ def opt_dp(inst: Instance, state_budget: int | None = None) -> OptDpResult:
 
     actions_per_edge = []
     for e in edges:
-        acts = [(a, inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q]
+        acts = [(inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q]
         actions_per_edge.append(acts)
 
     memo: dict = {}
@@ -93,7 +92,6 @@ def opt_dp(inst: Instance, state_budget: int | None = None) -> OptDpResult:
         if len(memo) >= budget:
             raise BudgetExceeded("state budget exhausted", estimate=float(len(memo)))
         best = 0.0
-        best_move = None
         for i in range(n_e):
             bit = 1 << i
             if not avail & bit:
@@ -107,24 +105,27 @@ def opt_dp(inst: Instance, state_budget: int | None = None) -> OptDpResult:
             nrv = rem_v[:vi] + (rem_v[vi] - 1,) + rem_v[vi + 1 :]
             navail = avail & ~bit
             fail_val = None
-            for a, q, r in actions_per_edge[i]:
+            for q, r in actions_per_edge[i]:
                 if fail_val is None:
-                    fail_val = solve(navail, mu, mv, nru, nrv)[0]
+                    fail_val = solve(navail, mu, mv, nru, nrv)
                 if q > 0.0:
-                    succ_val = solve(navail, mu | (1 << ui), mv | (1 << vi), nru, nrv)[0]
+                    succ_val = solve(navail, mu | (1 << ui), mv | (1 << vi), nru, nrv)
                     val = q * (r + succ_val) + (1.0 - q) * fail_val
                 else:
                     val = fail_val
                 if val > best:
                     best = val
-                    best_move = (edges[i], a)
-        memo[key] = (best, best_move)
-        return memo[key]
+        memo[key] = best
+        return best
 
     full = (1 << n_e) - 1
-    value, _ = solve(full, 0, 0, tuple(cap_u), tuple(cap_v))
-    policy = {k: mv for k, (val, mv) in memo.items()}
-    return OptDpResult(value=value, policy=policy, states_expanded=len(memo))
+    try:
+        value = solve(full, 0, 0, tuple(cap_u), tuple(cap_v))
+        return OptDpResult(value=value, states_expanded=len(memo))
+    finally:
+        # solve refers to itself through its closure; that cycle would keep
+        # the memo alive until the cyclic collector next runs
+        memo.clear()
 
 
 # ---------------------------------------------------------------------------

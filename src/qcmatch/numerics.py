@@ -76,9 +76,18 @@ def attenuation_denominator(s):
     return d
 
 
-def _attenuation(s):
-    # b(s) without the module cycle; the public op lives in contention.py.
-    return BETA / attenuation_denominator(s)
+def attenuation_finite(s):
+    """Dampening probability for finite patience >= 2.
+
+    b(s) = BETA / int_0^1 e^{-y(1-s)} P[Poisson(2y) < 3] dy. The denominator
+    equals BETA at s = 0, so b(0) = 1; it grows with s, so b is decreasing.
+    The same function serves every finite patience level: it is calibrated
+    against the patience-3 worst case, which dominates the others.
+    """
+    arr = np.asarray(s, dtype=float)
+    if np.any(arr < -1e-12) or np.any(arr > 1 + 1e-12):
+        raise ValueError("attenuation argument must lie in [0, 1]")
+    return BETA / attenuation_denominator(np.clip(arr, 0.0, 1.0) if arr.ndim else min(max(float(arr), 0.0), 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -190,8 +199,7 @@ def selection_bound_midrange(ell: int, x1):
     """
     if not (2 <= ell <= 119):
         raise ValueError("ell must be in [2, 119]")
-    x1_a = np.asarray(x1, dtype=float)
-    return _attenuation(x1_a if x1_a.ndim else float(x1_a)) * midrange_availability(
+    return attenuation_finite(x1) * midrange_availability(
         ell, x1, 1.0 - np.asarray(x1, dtype=float)
     )
 
@@ -228,7 +236,7 @@ def selection_bound_bennett(x1: float) -> float:
     total = 0.0
     for lo, hi in ((0.0, 1e-3), (1e-3, 0.1), (0.1, 1.0)):
         total += adaptive_simpson(f, lo, hi, tol=1e-10 / 3.0)
-    return _attenuation(x1) * total
+    return attenuation_finite(x1) * total
 
 
 def beta_by_quadrature(tol: float = 1e-12) -> float:
@@ -274,8 +282,8 @@ def verify_attenuation_properties(n_grid: int = 1000) -> VerifyReport:
         4(b(z/2) - b(z)) / (z b(z/2)^2) and a single sign change.
     """
     z = np.linspace(0.0, 1.0, n_grid + 1)
-    bz = _attenuation(z)
-    bhalf = _attenuation(z / 2.0)
+    bz = attenuation_finite(z)
+    bhalf = attenuation_finite(z / 2.0)
 
     margins = []
     margins.append((-abs(float(bz[0]) - 1.0), ("b(0)", 0.0)))
@@ -403,7 +411,7 @@ def verify_final_bounds(
     x1 = np.linspace(0.0, 1.0, n_grid)
     worst = (np.inf, ())
     for ell in ells:
-        vals = _attenuation(x1) * midrange_availability(ell, x1, 1.0 - x1)
+        vals = attenuation_finite(x1) * midrange_availability(ell, x1, 1.0 - x1)
         margin = vals - BETA
         i = int(np.argmin(margin))
         if margin[i] < worst[0]:
@@ -417,7 +425,7 @@ def verify_final_bounds(
     surv = _bennett_survival(y)
     x1_b = np.linspace(0.0, 1.0, 201)
     integrals = (surv[None, :] * np.exp(-np.outer(1.0 - x1_b, y))) @ w
-    bennett = _attenuation(x1_b) * integrals
+    bennett = attenuation_finite(x1_b) * integrals
     margin_b = bennett - BETA
     j = int(np.argmin(margin_b))
     if margin_b[j] < worst[0]:
@@ -441,7 +449,7 @@ def verify_bennett(n_grid: int = 201) -> VerifyReport:
     y, w = _gl_nodes(0.0, 1.0, panels=8, order=16)
     surv = _bennett_survival(y)
     x1 = np.linspace(0.0, 1.0, n_grid)
-    vals = _attenuation(x1) * ((surv[None, :] * np.exp(-np.outer(1.0 - x1, y))) @ w)
+    vals = attenuation_finite(x1) * ((surv[None, :] * np.exp(-np.outer(1.0 - x1, y))) @ w)
     margin = vals - BETA
     i = int(np.argmin(margin))
     return VerifyReport(

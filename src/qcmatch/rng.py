@@ -11,18 +11,6 @@ import zlib
 
 import numpy as np
 
-# Substream names used by the experiment harness. Anything may open ad-hoc
-# streams, but these are the ones a pipeline run touches.
-STREAMS = (
-    "instance-gen",
-    "config-sampling",
-    "permutation",
-    "q-bits",
-    "qtilde-bits",
-    "attenuation-bits",
-)
-
-
 def _stream_key(name: str) -> int:
     return zlib.crc32(name.encode("utf-8"))
 

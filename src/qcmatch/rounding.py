@@ -48,10 +48,17 @@ class RunOutcome:
 
 
 class _Compiled:
-    """Index-space view of (instance, solution) for the trial loop."""
+    """Index-space view of (instance, solution) for the trial walker.
+
+    Sampled plans are numbered globally, with plan 0 the empty "no plan"
+    row. `cum[v]` holds v's cumulative plan weights padded with +inf, so
+    the number of thresholds at or below a uniform u is the index of the
+    first threshold above it; `plan_id[v, k]` maps that index to a plan
+    (k = number of v's plans gives plan 0). Plan positions are padded to
+    the longest plan and `plan_len` says how many are real.
+    """
 
     def __init__(self, inst: Instance, sol: LpSolution, scheme: str):
-        self.inst = inst
         self.v_list = list(inst.V)
         self.u_list = list(inst.U)
         self.u_index = {u: i for i, u in enumerate(self.u_list)}
@@ -66,47 +73,55 @@ class _Compiled:
             self.q_mat[self.e_index[e], self.a_index[a]] = q
 
         # per-v sampled-plan tables
-        self.cum = []
-        self.plans = []
+        per_v = []
         for v in self.v_list:
             cfgs = [(cfg, w) for cfg, w in sol.weights.items() if cfg.v == v and w > 0]
             ell_v = inst.patience[v]
-            weights = []
-            compiled = []
-            for cfg, w in cfgs:
+            for cfg, _ in cfgs:
                 if not is_infinite(ell_v) and len(cfg) > int(ell_v):
                     raise ValueError(f"plan at {v} longer than patience")
-                weights.append(w)
-                compiled.append(
-                    [
-                        (
-                            self.u_index[e[0]],
-                            self.e_index[e],
-                            self.a_index[a],
-                            inst.q_of(e, a),
-                            inst.r_of(e, a),
-                            cfg,
-                        )
-                        for e, a in zip(cfg.edges, cfg.actions)
-                    ]
-                )
-            total = sum(weights)
-            if total > 1.0 + 1e-9:
+            if sum(w for _, w in cfgs) > 1.0 + 1e-9:
                 raise ValueError(f"plan weights at {v} exceed 1")
-            self.cum.append(np.cumsum(weights).tolist())
-            self.plans.append(compiled)
+            per_v.append(cfgs)
+        k_max = max((len(cfgs) for cfgs in per_v), default=0)
+        self.cum = np.full((len(self.v_list), k_max), np.inf)
+        self.plan_id = np.zeros((len(self.v_list), k_max + 1), dtype=np.int64)
+        cfg_list = []
+        for vi, cfgs in enumerate(per_v):
+            self.cum[vi, : len(cfgs)] = np.cumsum([w for _, w in cfgs])
+            self.plan_id[vi, : len(cfgs)] = np.arange(len(cfg_list) + 1, len(cfg_list) + 1 + len(cfgs))
+            cfg_list.extend(cfg for cfg, _ in cfgs)
+        n_p = len(cfg_list) + 1
+        self.plan_len = np.array([0] + [len(cfg) for cfg in cfg_list], dtype=np.int64)
+        self.plan_cfg = [None] + [cfg if len(cfg) else None for cfg in cfg_list]
+        width = int(self.plan_len.max())
+        self.plan_u = np.zeros((n_p, width), dtype=np.int64)
+        self.plan_e = np.zeros((n_p, width), dtype=np.int64)
+        self.plan_a = np.zeros((n_p, width), dtype=np.int64)
+        self.plan_r = np.zeros((n_p, width))
+        for pid, cfg in enumerate(cfg_list, start=1):
+            for j, (e, a) in enumerate(zip(cfg.edges, cfg.actions)):
+                self.plan_u[pid, j] = self.u_index[e[0]]
+                self.plan_e[pid, j] = self.e_index[e]
+                self.plan_a[pid, j] = self.a_index[a]
+                self.plan_r[pid, j] = inst.r_of(e, a)
 
         # offline-side scheme state: attenuation probability per (u, v);
         # greedy keeps every bit at 1, and patience 0 never queries
-        self.rem_init = [
-            _BIG if is_infinite(inst.patience[u]) else int(inst.patience[u]) for u in self.u_list
-        ]
+        self.rem_init = _budgets(inst, self.u_list)
         self.b_mat = np.ones((len(self.u_list), len(self.v_list)))
         if scheme in ("full", "greedy"):
             inputs = scheme_inputs(inst, sol)  # validates the marginals
             if scheme == "full":
                 for u, inp in inputs.items():
                     self.b_mat[self.u_index[u]] = ct.attenuation_probs(inp)
+
+
+def _budgets(inst: Instance, vertices) -> np.ndarray:
+    """Query budgets of `vertices`, with unbounded patience as _BIG."""
+    return np.array(
+        [_BIG if is_infinite(inst.patience[s]) else int(inst.patience[s]) for s in vertices], dtype=np.int64
+    )
 
 
 def scheme_inputs(inst: Instance, sol: LpSolution) -> dict:
@@ -131,83 +146,75 @@ def _chunk_draws(comp: _Compiled, seed: int, chunk_idx: int, count: int, mode: s
     n_e, n_a = comp.q_mat.shape
     perm_rng = stream_rng(seed, "permutation", chunk_idx)
     keys = perm_rng.uniform(size=(count, n_v))
-    perms = np.argsort(keys, axis=1).tolist()
+    perms = np.argsort(keys, axis=1)
     cfg_rng = stream_rng(seed, "config-sampling", chunk_idx)
-    u_cfg = cfg_rng.uniform(size=(count, n_v)).tolist()
+    u_cfg = cfg_rng.uniform(size=(count, n_v))
     q_rng = stream_rng(seed, "q-bits", chunk_idx)
-    q_bits = (q_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]).tolist()
+    q_bits = q_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
     qt_rng = stream_rng(seed, "qtilde-bits", chunk_idx)
-    qt_bits = (qt_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]).tolist()
+    qt_bits = qt_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
     if mode == "relaxed":
         b_bits = None
     else:
         b_rng = stream_rng(seed, "attenuation-bits", chunk_idx)
-        b_bits = (b_rng.uniform(size=(count, len(comp.u_list), n_v)) < comp.b_mat[None]).tolist()
+        b_bits = b_rng.uniform(size=(count, len(comp.u_list), n_v)) < comp.b_mat[None]
     return perms, u_cfg, q_bits, qt_bits, b_bits
 
 
-def _walk_trial(comp, perm, u_cfg_row, q_row, qt_row, b_row, mode, sug_counts=None, events=None):
-    """One trial of the selected policy; returns (reward, matched pairs,
-    chosen plans). Appends QueryEvents when `events` is a list."""
-    reward = 0.0
-    matched = []
-    chosen = {}
-    rem = comp.rem_init[:]
-    u_matched = [False] * len(comp.u_list)
+def _walk_chunk(comp: _Compiled, draws, mode: str, sug=None, log=None) -> np.ndarray:
+    """Every trial of a chunk of the selected policy, stepped in lockstep
+    over arrival rank x plan position; returns the rewards.
+
+    `sug` (flat edge x action counts) gains one per reached position. With
+    a one-trial chunk, `log` (a dict) receives the chosen plan per online
+    vertex under "chosen" and the QueryEvents in order under "events".
+    """
+    perms, u_cfg, q_bits, qt_bits, b_bits = draws
+    c = perms.shape[0]
+    n_a = comp.q_mat.shape[1]
     relaxed = mode == "relaxed"
-    for vi in perm:
-        cum = comp.cum[vi]
-        u = u_cfg_row[vi]
-        pick = -1
-        for k, threshold in enumerate(cum):
-            if u < threshold:
-                pick = k
+    reward = np.zeros(c)
+    rem = np.tile(comp.rem_init, (c, 1))
+    u_matched = np.zeros((c, len(comp.u_list)), dtype=bool)
+    all_t = np.arange(c)
+    for rank in range(perms.shape[1]):
+        vi = perms[:, rank]
+        pick = (comp.cum[vi] <= u_cfg[all_t, vi][:, None]).sum(axis=1)
+        pid = comp.plan_id[vi, pick]
+        if log is not None:
+            log["chosen"][comp.v_list[vi[0]]] = comp.plan_cfg[pid[0]]
+        t = all_t
+        for j in range(comp.plan_u.shape[1]):
+            keep = comp.plan_len[pid] > j
+            t, vi, pid = t[keep], vi[keep], pid[keep]
+            if not t.size:
                 break
-        v_name = comp.v_list[vi]
-        if pick < 0:
-            chosen[v_name] = None
-            continue
-        plan = comp.plans[vi][pick]
-        chosen[v_name] = plan[0][5] if plan else None
-        for j, (ui, ei, ai, q, r, _cfg) in enumerate(plan):
-            if sug_counts is not None:
-                sug_counts[ei][ai] += 1
+            ui, ei, ai = comp.plan_u[pid, j], comp.plan_e[pid, j], comp.plan_a[pid, j]
+            if sug is not None:
+                sug += np.bincount(ei * n_a + ai, minlength=sug.size)
             if relaxed:
-                do_query = True
                 b = None
+                query = np.ones(t.size, dtype=bool)
             else:
-                b = b_row[ui][vi]
-                do_query = b and not u_matched[ui] and rem[ui] > 0
-            if do_query:
-                bit = q_row[ei][ai]
-                if not relaxed:
-                    rem[ui] -= 1
-                if events is not None:
-                    events.append(
-                        QueryEvent(
-                            v=v_name, position=j, edge=comp.edge_list[ei], action=comp.a_list[ai],
-                            decision="query", b_bit=None if relaxed else int(bool(b)),
-                            bit=int(bool(bit)), success=bool(bit),
-                        )
+                b = b_bits[t, ui, vi]
+                query = b & ~u_matched[t, ui] & (rem[t, ui] > 0)
+                rem[t[query], ui[query]] -= 1
+            # a query consults the real success bit, a pass the simulated
+            # one; either bit set ends the plan, and only a query pays
+            bit = np.where(query, q_bits[t, ei, ai], qt_bits[t, ei, ai])
+            won = query & bit
+            reward[t[won]] += comp.plan_r[pid[won], j]
+            u_matched[t[won], ui[won]] = True
+            if log is not None:
+                log["events"].append(
+                    QueryEvent(
+                        v=comp.v_list[vi[0]], position=j, edge=comp.edge_list[ei[0]],
+                        action=comp.a_list[ai[0]], decision="query" if query[0] else "pass",
+                        b_bit=None if b is None else int(b[0]), bit=int(bit[0]), success=bool(won[0]),
                     )
-                if bit:
-                    reward += r
-                    matched.append((comp.edge_list[ei], comp.a_list[ai]))
-                    u_matched[ui] = True
-                    break
-            else:
-                bit = qt_row[ei][ai]
-                if events is not None:
-                    events.append(
-                        QueryEvent(
-                            v=v_name, position=j, edge=comp.edge_list[ei], action=comp.a_list[ai],
-                            decision="pass", b_bit=int(bool(b)), bit=int(bool(bit)),
-                            success=False,
-                        )
-                    )
-                if bit:
-                    break  # simulated success ends the plan with no reward
-    return reward, matched, chosen
+                )
+            t, vi, pid = t[~bit], vi[~bit], pid[~bit]
+    return reward
 
 
 def _mode_of(policy: str) -> str:
@@ -225,17 +232,15 @@ def run_once(sol: LpSolution, inst: Instance, seed: int, policy: str = "full", t
     """
     mode = _mode_of(policy)
     comp = _Compiled(inst, sol, mode)
-    perms, u_cfg, q_bits, qt_bits, b_bits = _chunk_draws(comp, seed, trial, 1, mode)
-    events: list = []
-    reward, matched, chosen = _walk_trial(
-        comp, perms[0], u_cfg[0], q_bits[0], qt_bits[0],
-        None if b_bits is None else b_bits[0], mode, events=events,
-    )
+    draws = _chunk_draws(comp, seed, trial, 1, mode)
+    log = {"chosen": {}, "events": []}
+    reward = _walk_chunk(comp, draws, mode, log=log)
+    events = log["events"]
     return RunOutcome(
-        matching=matched,
-        reward=reward,
-        permutation=tuple(comp.v_list[i] for i in perms[0]),
-        chosen=chosen,
+        matching=[(ev.edge, ev.action) for ev in events if ev.success],
+        reward=float(reward[0]),
+        permutation=tuple(comp.v_list[i] for i in draws[0][0]),
+        chosen=log["chosen"],
         events=events,
         mode=mode,
     )
@@ -252,34 +257,32 @@ def simulate(
 ):
     """Monte Carlo over trials; returns (rewards ndarray, suggestion counts).
 
-    Suggestion counts (per edge/action position reached) feed the marginal
-    preservation checks.
+    Trials run in chunks whose randomness is pre-drawn from counter-keyed
+    substreams, and each chunk is walked in lockstep. Suggestion counts
+    (per edge/action position reached) feed the marginal preservation
+    checks.
     """
     mode = _mode_of(policy)
     comp = _Compiled(inst, sol, mode)
     n_e, n_a = comp.q_mat.shape
-    sug = [[0] * n_a for _ in range(n_e)] if count_suggestions else None
+    sug = np.zeros(n_e * n_a, dtype=np.int64) if count_suggestions else None
     rewards = np.empty(trials)
     done = 0
     chunk_idx = 0
     while done < trials:
         c = min(chunk, trials - done)
-        perms, u_cfg, q_bits, qt_bits, b_bits = _chunk_draws(comp, seed, chunk_idx, c, mode)
-        for t in range(c):
-            reward, _, _ = _walk_trial(
-                comp, perms[t], u_cfg[t], q_bits[t], qt_bits[t],
-                None if b_bits is None else b_bits[t], mode, sug_counts=sug,
-            )
-            rewards[done + t] = reward
+        draws = _chunk_draws(comp, seed, chunk_idx, c, mode)
+        rewards[done : done + c] = _walk_chunk(comp, draws, mode, sug=sug)
         done += c
         chunk_idx += 1
     counts = None
     if count_suggestions:
+        sug = sug.reshape(n_e, n_a)
         counts = {
-            (comp.edge_list[ei], comp.a_list[ai]): sug[ei][ai]
+            (comp.edge_list[ei], comp.a_list[ai]): int(sug[ei, ai])
             for ei in range(n_e)
             for ai in range(n_a)
-            if sug[ei][ai] > 0 or comp.q_mat[ei, ai] > 0
+            if sug[ei, ai] > 0 or comp.q_mat[ei, ai] > 0
         }
     return rewards, counts
 
@@ -308,25 +311,30 @@ def evaluate_policy(
 def simulate_edge_lp(z: dict, inst: Instance, trials: int, seed: int, chunk: int = 8192):
     """Round edge-LP weights: process edges in uniformly random order and
     query a feasible edge via action a with probability z_e(a); both
-    endpoints must be unmatched with remaining patience. Returns rewards."""
+    endpoints must be unmatched with remaining patience. Returns rewards.
+    Each chunk of trials is stepped in lockstep over edge rank."""
     edges = inst.edges()
-    n_e = len(edges)
-    acts = []
-    for e in edges:
-        cum = []
+    n_e, n_a = len(edges), len(inst.A)
+    # per edge: cumulative action weights padded with +inf, and q, r of each
+    thresh = np.full((n_e, n_a), np.inf)
+    q_tab = np.zeros((n_e, n_a))
+    r_tab = np.zeros((n_e, n_a))
+    n_acts = np.zeros(n_e, dtype=np.int64)
+    for ei, e in enumerate(edges):
         total = 0.0
         for a in inst.A:
             w = z.get((e, a), 0.0)
             if w > 0:
                 total += w
-                cum.append((total, a, inst.q_of(e, a), inst.r_of(e, a)))
-        acts.append(cum)
+                k = n_acts[ei]
+                thresh[ei, k], q_tab[ei, k], r_tab[ei, k] = total, inst.q_of(e, a), inst.r_of(e, a)
+                n_acts[ei] += 1
     u_index = {u: i for i, u in enumerate(inst.U)}
     v_index = {v: i for i, v in enumerate(inst.V)}
-    rem_u0 = [_BIG if is_infinite(inst.patience[u]) else int(inst.patience[u]) for u in inst.U]
-    rem_v0 = [_BIG if is_infinite(inst.patience[v]) else int(inst.patience[v]) for v in inst.V]
-    e_u = [u_index[e[0]] for e in edges]
-    e_v = [v_index[e[1]] for e in edges]
+    rem_u0 = _budgets(inst, inst.U)
+    rem_v0 = _budgets(inst, inst.V)
+    e_u = np.array([u_index[e[0]] for e in edges], dtype=np.int64)
+    e_v = np.array([v_index[e[1]] for e in edges], dtype=np.int64)
 
     rewards = np.empty(trials)
     done = 0
@@ -335,33 +343,32 @@ def simulate_edge_lp(z: dict, inst: Instance, trials: int, seed: int, chunk: int
         c = min(chunk, trials - done)
         rng = stream_rng(seed, "permutation", chunk_idx)
         keys = rng.uniform(size=(c, n_e))
-        orders = np.argsort(keys, axis=1).tolist()
+        orders = np.argsort(keys, axis=1)
         pick_rng = stream_rng(seed, "config-sampling", chunk_idx)
-        picks = pick_rng.uniform(size=(c, n_e)).tolist()
+        picks = pick_rng.uniform(size=(c, n_e))
         q_rng = stream_rng(seed, "q-bits", chunk_idx)
-        q_u = q_rng.uniform(size=(c, n_e)).tolist()
-        for t in range(c):
-            rem_u = rem_u0[:]
-            rem_v = rem_v0[:]
-            mu = [False] * len(inst.U)
-            mv = [False] * len(inst.V)
-            reward = 0.0
-            prow, qrow = picks[t], q_u[t]
-            for ei in orders[t]:
-                ui, vi = e_u[ei], e_v[ei]
-                if mu[ui] or mv[vi] or rem_u[ui] == 0 or rem_v[vi] == 0:
-                    continue
-                upick = prow[ei]
-                for threshold, a, q, r in acts[ei]:
-                    if upick < threshold:
-                        rem_u[ui] -= 1
-                        rem_v[vi] -= 1
-                        if qrow[ei] < q:
-                            reward += r
-                            mu[ui] = True
-                            mv[vi] = True
-                        break
-            rewards[done + t] = reward
+        q_u = q_rng.uniform(size=(c, n_e))
+        rem_u = np.tile(rem_u0, (c, 1))
+        rem_v = np.tile(rem_v0, (c, 1))
+        mu = np.zeros((c, len(inst.U)), dtype=bool)
+        mv = np.zeros((c, len(inst.V)), dtype=bool)
+        reward = np.zeros(c)
+        t_all = np.arange(c)
+        for rank in range(n_e):
+            ei = orders[:, rank]
+            ui, vi = e_u[ei], e_v[ei]
+            k = (thresh[ei] <= picks[t_all, ei][:, None]).sum(axis=1)
+            go = (k < n_acts[ei]) & ~mu[t_all, ui] & ~mv[t_all, vi]
+            go &= (rem_u[t_all, ui] > 0) & (rem_v[t_all, vi] > 0)
+            t, ei, ui, vi, k = t_all[go], ei[go], ui[go], vi[go], k[go]
+            rem_u[t, ui] -= 1
+            rem_v[t, vi] -= 1
+            won = q_u[t, ei] < q_tab[ei, k]
+            t, ui, vi = t[won], ui[won], vi[won]
+            reward[t] += r_tab[ei[won], k[won]]
+            mu[t, ui] = True
+            mv[t, vi] = True
+        rewards[done : done + c] = reward
         done += c
         chunk_idx += 1
     return rewards

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -176,3 +178,23 @@ def test_env_budget_override(monkeypatch):
         opt_dp(inst)
     monkeypatch.delenv("QCL_BUDGET")
     assert opt_dp(inst).value >= 0.0
+
+
+def test_dp_memo_freed_on_return_and_give_up():
+    # the memo must go with the call, not wait for the cyclic collector
+    inst = random_instance(9, 4, 3, 1, patience_range=(2,))
+    gc.collect()
+    gc.disable()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert opt_dp(inst).states_expanded == 11569
+        with pytest.raises(BudgetExceeded):
+            opt_dp(inst, state_budget=5000)
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+        gc.enable()
+    # the memo of 11569 states takes about 3.8 MB; what stays is the
+    # interpreter's tuple free lists, about 0.14 MB
+    assert kept < 1_000_000, kept

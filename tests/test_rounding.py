@@ -1,12 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from qcmatch import contention as ct
 from qcmatch import rounding as rd
 from qcmatch.exact import opt_dp
 from qcmatch.instances import INFINITE, make_instance, random_instance
-from qcmatch.lp import solve_edge_lp, solve_lp_c_explicit
+from qcmatch.lp import solve_edge_lp, solve_lp_c_colgen, solve_lp_c_explicit
 from qcmatch.numerics import BETA, ONE_MINUS_INV_E
 
 
@@ -195,3 +197,87 @@ def test_simulate_deterministic_in_seed():
     r1, _ = rd.simulate(sol, inst, "full", 5_000, seed=8)
     r2, _ = rd.simulate(sol, inst, "full", 5_000, seed=8)
     assert np.array_equal(r1, r2)
+
+
+# Fixed-seed outputs recorded with the one-trial-at-a-time simulators that
+# the lockstep walkers replaced; any change to the draw layout, the
+# substream names or the query rule moves them.
+_PINNED_SIM = {
+    "full": (
+        5543.518786554003,
+        [0, 737, 0, 4246, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3036, 3351, 0],
+    ),
+    "greedy": (
+        7092.0476077757285,
+        [0, 736, 0, 4245, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3070, 3351, 0],
+    ),
+    "relaxed": (
+        8648.997207075354,
+        [0, 726, 0, 4240, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3069, 3351, 0],
+    ),
+}
+_PINNED_EDGE_LP = 6713.961604922974
+_PINNED_SELECTABILITY = {  # offline vertex -> [(element, action, queried, conditioned)]
+    "u0": [(0, "a1", 495, 742), (1, "a1", 2697, 4302)],
+    "u1": [(0, "a1", 3282, 5000), (2, "a1", 1113, 1656)],
+    "u2": [(1, "a1", 1909, 2998), (2, "a0", 2169, 3349)],
+}
+
+
+def test_fixed_seed_outputs_reproduce():
+    # offline patience 1, 2 and unbounded; online patience unbounded, 2 and 1
+    inst = random_instance(47, 3, 3, 2, patience_range=(1, 2, INFINITE))
+    sol = solved(inst)
+    for policy, (reward_sum, sug) in _PINNED_SIM.items():
+        rewards, counts = rd.simulate(sol, inst, policy, 5000, seed=17, count_suggestions=True, chunk=2048)
+        assert float(rewards.sum()) == reward_sum, policy
+        assert [counts[((u, v), a)] for u in inst.U for v in inst.V for a in inst.A] == sug, policy
+    z = solve_edge_lp(inst).z
+    assert float(rd.simulate_edge_lp(z, inst, 5000, seed=17, chunk=2048).sum()) == _PINNED_EDGE_LP
+    inputs = rd.scheme_inputs(inst, sol)
+    assert {u: inst.patience[u] for u in inputs} == {"u0": 1, "u1": 2, "u2": INFINITE}
+    for u, inp in inputs.items():
+        rows = ct.estimate_selectability(inp, 5000, seed=17)
+        assert [(r.element, r.action, r.queried, r.trials_conditioned) for r in rows] == _PINNED_SELECTABILITY[u]
+
+
+def test_run_once_is_one_trial_of_simulate():
+    for seed in range(70, 76):
+        inst = random_instance(seed, 3, 3, 2, patience_range=(1, 2, INFINITE))
+        sol = solved(inst)
+        for policy in ("full", "greedy", "relaxed"):
+            rewards, _ = rd.simulate(sol, inst, policy, trials=1, seed=seed)
+            out = rd.run_once(sol, inst, seed=seed, policy=policy, trial=0)
+            assert out.reward == rewards[0], (seed, policy)
+            assert rd.audit_outcome(out, sol, inst) == [], (seed, policy)
+
+
+def test_chunk_walk_matches_single_trial_walks():
+    # the lockstep walk of a chunk gives every trial the reward and the
+    # suggestions of walking that trial alone (each of which the replay
+    # audit checks through run_once)
+    for seed in range(80, 84):
+        inst = random_instance(seed, 3, 4, 2, patience_range=(0, 1, 2, INFINITE))
+        sol = solved(inst)
+        for policy in ("full", "greedy", "relaxed"):
+            comp = rd._Compiled(inst, sol, policy)
+            draws = rd._chunk_draws(comp, seed, 0, 64, policy)
+            sug = np.zeros(comp.q_mat.size, dtype=np.int64)
+            rewards = rd._walk_chunk(comp, draws, policy, sug=sug)
+            sug_one = np.zeros_like(sug)
+            for t in range(64):
+                one = [None if d is None else d[t : t + 1] for d in draws]
+                assert rd._walk_chunk(comp, one, policy, sug=sug_one)[0] == rewards[t], (seed, policy, t)
+            assert np.array_equal(sug, sug_one), (seed, policy)
+
+
+def test_simulate_chunk_memory_ceiling():
+    inst = random_instance(3, 10, 10, 2, patience_range=(3,))
+    sol = solve_lp_c_colgen(inst, eps=0.01)
+    tracemalloc.start()
+    try:
+        rd.simulate(sol, inst, "full", 8192, seed=4, count_suggestions=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak / 1e6
