@@ -13,7 +13,7 @@ import json
 import sys
 from contextlib import nullcontext
 
-from . import contention, eptas, harness, rounding
+from . import contention, eptas, harness
 from .exact import BudgetExceeded, opt_dp
 from .instances import (
     INFINITE,
@@ -118,15 +118,10 @@ def cmd_lp_c_colgen(args):
 
 
 def cmd_round(args):
-    inst = require_valid(load_instance(args.instance))
-    sol = solve_lp_c_explicit(inst)
-    opt_value = None
-    try:
-        opt_value = opt_dp(inst, state_budget=int(5e5)).value
-    except BudgetExceeded:
-        pass
-    report = rounding.evaluate_policy(args.policy, inst, sol, args.trials, args.seed, opt_value)
-    _emit(report.as_dict(), args.out)
+    cfg = harness.ExperimentConfig(
+        pipeline=f"lp-c+{args.policy}", trials=args.trials, seed=args.seed, instance_file=args.instance
+    )
+    _emit(harness.run_experiment(cfg).report.as_dict(), args.out)
     return 0
 
 

@@ -177,13 +177,15 @@ def _future_values_core(actions_per_position):
     return rvals, chosen
 
 
-def _ordering_count(n: int, ell) -> float:
-    kmax = n if is_infinite(ell) else min(int(ell), n)
+def config_count(deg: int, ell, n_actions: int) -> float:
+    """Number of ordered plans over `deg` edges: distinct edges, at most
+    `ell` of them, one of `n_actions` actions per position."""
+    kmax = deg if is_infinite(ell) else min(int(ell), deg)
     total = 0.0
     perms = 1.0
     for k in range(1, kmax + 1):
-        perms *= n - k + 1
-        total += perms
+        perms *= deg - k + 1
+        total += perms * n_actions**k
     return total
 
 
@@ -200,7 +202,7 @@ def star_opt_core(action_table, ell, ordering_budget: int | None = None):
         ordering_budget if ordering_budget is not None else DEFAULT_ORDERING_BUDGET
     )
     n = len(action_table)
-    est = _ordering_count(n, ell)
+    est = config_count(n, ell, 1)
     if est > budget:
         raise BudgetExceeded(f"{est:.3g} orderings exceed budget {budget}", estimate=est)
 

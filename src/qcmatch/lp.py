@@ -19,6 +19,7 @@ from . import simplex
 from .exact import (
     BudgetExceeded,
     budget_override,
+    config_count,
     expected_sequence_reward,
     star_opt_core,
 )
@@ -148,16 +149,6 @@ def check_edge_lp_feasibility(marginals: dict, inst: Instance, tol: float = 1e-9
 # ---------------------------------------------------------------------------
 # Configuration enumeration and the explicit LP
 # ---------------------------------------------------------------------------
-
-
-def config_count(deg: int, ell, n_actions: int) -> float:
-    kmax = deg if is_infinite(ell) else min(int(ell), deg)
-    total = 0.0
-    perms = 1.0
-    for k in range(1, kmax + 1):
-        perms *= deg - k + 1
-        total += perms * n_actions**k
-    return total
 
 
 def enumerate_configs(inst: Instance, v: str, config_budget: int | None = None) -> list:

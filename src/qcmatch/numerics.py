@@ -19,8 +19,6 @@ import numpy as np
 BETA = (19.0 - 67.0 * math.exp(-3.0)) / 27.0
 ONE_MINUS_INV_E = 1.0 - math.exp(-1.0)
 
-_LGAMMA = np.array([math.lgamma(i + 1) for i in range(256)])
-
 
 def poisson_cdf_below(k: int, mu):
     """P[Poisson(mu) < k] = sum_{i<k} e^-mu mu^i / i!.
@@ -45,16 +43,6 @@ def poisson_cdf_below(k: int, mu):
     if np.isscalar(mu) or mu_arr.ndim == 0:
         return float(total)
     return total
-
-
-def upper_incomplete_gamma(s: int, z):
-    """Gamma(s, z) for integer s >= 1 via the finite-sum identity.
-
-    Gamma(s, z) = (s-1)! e^-z sum_{i<s} z^i/i!  =  (s-1)! P[Poisson(z) < s].
-    """
-    if s < 1 or s != int(s):
-        raise ValueError("s must be a positive integer")
-    return math.factorial(int(s) - 1) * poisson_cdf_below(int(s), z)
 
 
 def attenuation_denominator(s):
@@ -96,7 +84,11 @@ def attenuation_finite(s):
 
 
 def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Adaptive Simpson integration of a scalar function on [a, b]."""
+    """Adaptive Simpson integration of a scalar function on [a, b].
+
+    The independent oracle the tests check the Gauss-Legendre integrals
+    against; nothing in the package calls it.
+    """
     fa, fb = f(a), f(b)
     m = 0.5 * (a + b)
     fm = f(m)
@@ -134,8 +126,13 @@ def _gl_nodes(a: float, b: float, panels: int, order: int = 16):
 # ---------------------------------------------------------------------------
 
 
-def midrange_availability(ell: int, x1, n1_mass, _quad_threshold: float = 1e-6):
-    """Closed form of int_0^{yc} e^{-y(ell-x1)} sum_{k<ell} (B y)^k / k! dy.
+# Below this n1_mass the closed form of midrange_availability loses digits
+# to its 0/0 limit, so the integral is evaluated by quadrature instead.
+_QUAD_THRESHOLD = 1e-6
+
+
+def midrange_availability(ell: int, x1, n1_mass):
+    """int_0^{yc} e^{-y(ell-x1)} sum_{k<ell} (B y)^k / k! dy.
 
     Here B = ell - x1 - n1_mass and yc = (ell-1)/B. Writing c = n1_mass and
     Q(s, z) = P[Poisson(z) < s], integration by parts gives
@@ -146,8 +143,9 @@ def midrange_availability(ell: int, x1, n1_mass, _quad_threshold: float = 1e-6):
     with A = ell - x1. The form is pinned by the exact identity at
     (x1, n1_mass) = (0, 1), ell = 3, where the value is the guarantee
     constant BETA, and by quadrature cross-checks at random arguments.
-    As n1_mass -> 0 the expression is 0/0, so small masses are integrated
-    numerically instead.
+    As n1_mass -> 0 the expression is 0/0, so masses below _QUAD_THRESHOLD
+    take the equivalent form int_0^{yc} e^{-cy} Q(ell, By) dy instead, all
+    at once on 4 x 16 Gauss-Legendre nodes scaled to [0, yc].
     """
     if ell < 2 or ell != int(ell):
         raise ValueError("ell must be an integer >= 2")
@@ -163,7 +161,7 @@ def midrange_availability(ell: int, x1, n1_mass, _quad_threshold: float = 1e-6):
     B = ell - x1_a - c_a
     out = np.empty_like(x1_a)
 
-    big = c_a >= _quad_threshold
+    big = c_a >= _QUAD_THRESHOLD
     if np.any(big):
         cb, Ab, Bb = c_a[big], A[big], B[big]
         yc = (ell - 1.0) / Bb
@@ -172,15 +170,18 @@ def midrange_availability(ell: int, x1, n1_mass, _quad_threshold: float = 1e-6):
         out[big] = (1.0 - np.exp(-cb * yc) * q1 - (Bb / Ab) ** ell * (1.0 - q2)) / cb
 
     small = ~big
-    for idx in np.argwhere(small):
-        i = tuple(idx)
-        out[i] = _midrange_availability_quad(ell, float(x1_a[i]), float(c_a[i]))
+    if np.any(small):
+        cs, Bs = c_a[small], B[small]
+        yc = (ell - 1.0) / Bs
+        t, w = _gl_nodes(0.0, 1.0, panels=4, order=16)
+        y = yc[:, None] * t[None, :]
+        out[small] = yc * ((np.exp(-cs[:, None] * y) * poisson_cdf_below(ell, Bs[:, None] * y)) @ w)
 
     return float(out[0]) if scalar else out.reshape(np.broadcast(np.asarray(x1), np.asarray(n1_mass)).shape)
 
 
 def _midrange_availability_quad(ell: int, x1: float, n1_mass: float, tol: float = 1e-10) -> float:
-    """Direct quadrature of the defining integral (oracle / small-mass path)."""
+    """Adaptive-Simpson quadrature of the defining integral (test oracle)."""
     B = ell - x1 - n1_mass
     yc = (ell - 1.0) / B
 
@@ -217,30 +218,32 @@ def _bennett_survival(y):
     return 1.0 - np.exp(expo)
 
 
+def _bennett_bound(x1):
+    """selection_bound_bennett on an array of x1 in [0, 1].
+
+    The survival factor equals 1 - y^120 e^{120(1-y)}, an entire function
+    of y, so 8 x 16 Gauss-Legendre nodes on [0, 1] integrate it to
+    rounding error.
+    """
+    y, w = _gl_nodes(0.0, 1.0, panels=8, order=16)
+    x1 = np.asarray(x1, dtype=float)
+    return attenuation_finite(x1) * ((_bennett_survival(y) * np.exp(-np.multiply.outer(1.0 - x1, y))) @ w)
+
+
 def selection_bound_bennett(x1: float) -> float:
     """b(x1) * int_0^1 (1 - e^{-120(y + log(1/y) - 1)}) e^{-y(1-x1)} dy.
 
     The integrand tends to 1 as y -> 0+ (the log term diverges inside the
-    exponential), so the integral is proper; the interval is split near 0
-    and integrated adaptively to abs error <= 1e-9.
+    exponential), so the integral is proper; it is evaluated on the same
+    Gauss-Legendre nodes as the Bennett sweeps (`_bennett_bound`).
     """
     if not 0.0 <= x1 <= 1.0:
         raise ValueError("x1 must lie in [0, 1]")
-    rate = 1.0 - x1
-
-    def f(y):
-        if y <= 0.0:
-            return 1.0
-        return float(_bennett_survival(y)) * math.exp(-rate * y)
-
-    total = 0.0
-    for lo, hi in ((0.0, 1e-3), (1e-3, 0.1), (0.1, 1.0)):
-        total += adaptive_simpson(f, lo, hi, tol=1e-10 / 3.0)
-    return attenuation_finite(x1) * total
+    return float(_bennett_bound(x1))
 
 
 def beta_by_quadrature(tol: float = 1e-12) -> float:
-    """Independent evaluation of int_0^1 e^{-y} P[Poisson(2y) < 3] dy."""
+    """Independent evaluation of int_0^1 e^{-y} P[Poisson(2y) < 3] dy (test oracle)."""
     return adaptive_simpson(lambda y: math.exp(-y) * poisson_cdf_below(3, 2.0 * y), 0.0, 1.0, tol=tol)
 
 
@@ -411,8 +414,7 @@ def verify_final_bounds(
     x1 = np.linspace(0.0, 1.0, n_grid)
     worst = (np.inf, ())
     for ell in ells:
-        vals = attenuation_finite(x1) * midrange_availability(ell, x1, 1.0 - x1)
-        margin = vals - BETA
+        margin = selection_bound_midrange(ell, x1) - BETA
         i = int(np.argmin(margin))
         if margin[i] < worst[0]:
             worst = (float(margin[i]), ("mid", int(ell), float(x1[i])))
@@ -421,11 +423,8 @@ def verify_final_bounds(
     if -eq < worst[0]:
         worst = (-eq, ("mid-equality", 3, 0.0))
 
-    y, w = _gl_nodes(0.0, 1.0, panels=8, order=16)
-    surv = _bennett_survival(y)
     x1_b = np.linspace(0.0, 1.0, 201)
-    integrals = (surv[None, :] * np.exp(-np.outer(1.0 - x1_b, y))) @ w
-    bennett = attenuation_finite(x1_b) * integrals
+    bennett = _bennett_bound(x1_b)
     margin_b = bennett - BETA
     j = int(np.argmin(margin_b))
     if margin_b[j] < worst[0]:
@@ -446,11 +445,8 @@ def verify_final_bounds(
 
 def verify_bennett(n_grid: int = 201) -> VerifyReport:
     """Standalone Bennett sweep (same computation the final suite embeds)."""
-    y, w = _gl_nodes(0.0, 1.0, panels=8, order=16)
-    surv = _bennett_survival(y)
     x1 = np.linspace(0.0, 1.0, n_grid)
-    vals = attenuation_finite(x1) * ((surv[None, :] * np.exp(-np.outer(1.0 - x1, y))) @ w)
-    margin = vals - BETA
+    margin = _bennett_bound(x1) - BETA
     i = int(np.argmin(margin))
     return VerifyReport(
         suite="bennett",

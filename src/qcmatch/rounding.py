@@ -19,7 +19,6 @@ import numpy as np
 from . import contention as ct
 from .instances import Instance, is_infinite
 from .lp import LpSolution
-from .reports import SimReport, make_report
 from .rng import stream_rng
 
 _BIG = 1 << 30
@@ -106,8 +105,8 @@ class _Compiled:
                 self.plan_a[pid, j] = self.a_index[a]
                 self.plan_r[pid, j] = inst.r_of(e, a)
 
-        # offline-side scheme state: attenuation probability per (u, v);
-        # greedy keeps every bit at 1, and patience 0 never queries
+        # offline-side scheme state: attenuation probability per (u, v),
+        # read by the full policy only; patience 0 never queries
         self.rem_init = _budgets(inst, self.u_list)
         self.b_mat = np.ones((len(self.u_list), len(self.v_list)))
         if scheme in ("full", "greedy"):
@@ -151,11 +150,14 @@ def _chunk_draws(comp: _Compiled, seed: int, chunk_idx: int, count: int, mode: s
     u_cfg = cfg_rng.uniform(size=(count, n_v))
     q_rng = stream_rng(seed, "q-bits", chunk_idx)
     q_bits = q_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
-    qt_rng = stream_rng(seed, "qtilde-bits", chunk_idx)
-    qt_bits = qt_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
-    if mode == "relaxed":
-        b_bits = None
-    else:
+    # relaxed never passes, so it reads no simulated bit; greedy's
+    # attenuation bits are all 1. Streams are keyed by name, so skipping
+    # one leaves the others' draws as they are.
+    qt_bits = b_bits = None
+    if mode != "relaxed":
+        qt_rng = stream_rng(seed, "qtilde-bits", chunk_idx)
+        qt_bits = qt_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
+    if mode == "full":
         b_rng = stream_rng(seed, "attenuation-bits", chunk_idx)
         b_bits = b_rng.uniform(size=(count, len(comp.u_list), n_v)) < comp.b_mat[None]
     return perms, u_cfg, q_bits, qt_bits, b_bits
@@ -192,16 +194,17 @@ def _walk_chunk(comp: _Compiled, draws, mode: str, sug=None, log=None) -> np.nda
             ui, ei, ai = comp.plan_u[pid, j], comp.plan_e[pid, j], comp.plan_a[pid, j]
             if sug is not None:
                 sug += np.bincount(ei * n_a + ai, minlength=sug.size)
+            # a query consults the real success bit, a pass the simulated
+            # one; either bit set ends the plan, and only a query pays
             if relaxed:
                 b = None
                 query = np.ones(t.size, dtype=bool)
+                bit = q_bits[t, ei, ai]
             else:
-                b = b_bits[t, ui, vi]
+                b = np.ones(t.size, dtype=bool) if b_bits is None else b_bits[t, ui, vi]
                 query = b & ~u_matched[t, ui] & (rem[t, ui] > 0)
                 rem[t[query], ui[query]] -= 1
-            # a query consults the real success bit, a pass the simulated
-            # one; either bit set ends the plan, and only a query pays
-            bit = np.where(query, q_bits[t, ei, ai], qt_bits[t, ei, ai])
+                bit = np.where(query, q_bits[t, ei, ai], qt_bits[t, ei, ai])
             won = query & bit
             reward[t[won]] += comp.plan_r[pid[won], j]
             u_matched[t[won], ui[won]] = True
@@ -285,22 +288,6 @@ def simulate(
             if sug[ei, ai] > 0 or comp.q_mat[ei, ai] > 0
         }
     return rewards, counts
-
-
-def evaluate_policy(
-    policy: str,
-    inst: Instance,
-    sol: LpSolution,
-    trials: int,
-    seed: int,
-    opt_value: float | None = None,
-) -> SimReport:
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    rewards, _ = simulate(sol, inst, policy, trials, seed)
-    mean = float(rewards.mean())
-    var = float(rewards.var(ddof=1)) if trials > 1 else 0.0
-    return make_report(mean, var, trials, lp_value=sol.objective, opt_value=opt_value)
 
 
 # ---------------------------------------------------------------------------

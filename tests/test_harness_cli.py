@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -48,6 +49,18 @@ def test_run_experiment_single_edge(tmp_path):
     assert res.passed
     assert (tmp_path / "res.json").exists()
     assert (tmp_path / "res.csv").exists()
+
+
+def test_run_experiment_report(tmp_path):
+    path = single_edge_file(tmp_path)
+    cfg = ExperimentConfig(pipeline="lp-c+full", trials=50_000, seed=6, instance_file=path)
+    rep = run_experiment(cfg).report
+    assert abs(rep.mean - (1 - 1 / math.e)) <= 5 * math.sqrt(0.25 / 50_000)
+    assert rep.ratio_vs_lp is not None and rep.ratio_vs_opt is not None
+    assert rep.half_width == pytest.approx(1.96 * math.sqrt(rep.variance / rep.trials))
+    cfg.trials = 0
+    with pytest.raises(ConfigError):
+        run_experiment(cfg)
 
 
 def test_run_experiment_deterministic_bytes(tmp_path):

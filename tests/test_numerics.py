@@ -38,14 +38,19 @@ def test_poisson_cdf_large_mean_stable():
     assert abs(nm.poisson_cdf_below(120, float(mu)) - ref) <= 1e-12
 
 
-def test_upper_incomplete_gamma():
-    assert abs(nm.upper_incomplete_gamma(3, 0.0) - 2.0) <= 1e-13
+def _upper_gamma(s, z):
+    # Gamma(s, z) = (s-1)! P[Poisson(z) < s] for integer s >= 1
+    return math.factorial(s - 1) * nm.poisson_cdf_below(s, z)
+
+
+def test_poisson_cdf_below_upper_gamma_values():
+    assert abs(_upper_gamma(3, 0.0) - 2.0) <= 1e-13
     for z in (0.1, 1.0, 2.5, 7.0):
-        assert abs(nm.upper_incomplete_gamma(1, z) - math.exp(-z)) <= 1e-13 * math.exp(-z) + 1e-15
-    assert abs(nm.upper_incomplete_gamma(3, 2.0) - 10 * math.exp(-2)) <= 1e-13
+        assert abs(_upper_gamma(1, z) - math.exp(-z)) <= 1e-13 * math.exp(-z) + 1e-15
+    assert abs(_upper_gamma(3, 2.0) - 10 * math.exp(-2)) <= 1e-13
 
 
-def test_upper_incomplete_gamma_vs_quadrature():
+def test_poisson_cdf_below_upper_gamma_vs_quadrature():
     # Gamma(s, z) = Gamma(s) - int_0^z t^{s-1} e^-t dt
     rng = np.random.default_rng(7)
     for _ in range(100):
@@ -53,7 +58,7 @@ def test_upper_incomplete_gamma_vs_quadrature():
         z = float(rng.uniform(0.0, 12.0))
         lower = nm.adaptive_simpson(lambda t: t ** (s - 1) * math.exp(-t), 0.0, z, tol=1e-12)
         ref = math.factorial(s - 1) - lower
-        assert abs(nm.upper_incomplete_gamma(s, z) - ref) <= 1e-8 * max(1.0, abs(ref)) + 1e-10
+        assert abs(_upper_gamma(s, z) - ref) <= 1e-8 * max(1.0, abs(ref)) + 1e-10
 
 
 def test_adaptive_simpson_polynomials_and_exp():
@@ -85,6 +90,15 @@ def test_midrange_availability_anchor_and_quadrature():
         quad = nm._midrange_availability_quad(ell, x1, m, tol=1e-11)
         assert abs(closed - quad) <= 1e-8, (ell, x1, m)
         checked += 1
+    # below the closed form's threshold the integral is taken by quadrature,
+    # one vectorised evaluation for every small mass of a call
+    x1s = np.array([0.0, 31 / 39, 0.4, 1.0 - 5e-7])
+    ms = np.array([0.0, 0.0, 5e-7, 5e-7])
+    for ell in (3, 4, 5, 10, 50, 119):
+        vals = nm.midrange_availability(ell, x1s, ms)
+        for x1, m, v in zip(x1s, ms, vals):
+            quad = nm._midrange_availability_quad(ell, float(x1), float(m), tol=1e-11)
+            assert abs(v - quad) <= 1e-10, (ell, x1, m)
 
 
 def test_midrange_availability_small_mass_limit_continuous():

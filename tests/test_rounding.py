@@ -2,7 +2,6 @@ import math
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from qcmatch import contention as ct
 from qcmatch import rounding as rd
@@ -167,17 +166,6 @@ def test_audit_flags_tampered_outcome():
     out = rd.run_once(sol, inst, seed=1, policy="full")
     out.reward += 1.0
     assert any("reward" in m for m in rd.audit_outcome(out, sol, inst))
-
-
-def test_evaluate_policy_report():
-    inst = single_edge_instance()
-    sol = solved(inst)
-    rep = rd.evaluate_policy("full", inst, sol, trials=50_000, seed=6, opt_value=1.0)
-    assert abs(rep.mean - ONE_MINUS_INV_E) <= 5 * math.sqrt(0.25 / 50_000)
-    assert rep.ratio_vs_lp is not None and rep.ratio_vs_opt is not None
-    assert rep.half_width == pytest.approx(1.96 * math.sqrt(rep.variance / rep.trials))
-    with pytest.raises(ValueError):
-        rd.evaluate_policy("full", inst, sol, trials=0, seed=6)
 
 
 def test_edge_lp_rounding_template():
