@@ -4,13 +4,18 @@ Pipeline: estimate the optimum from the single-vertex edge LP, bucket the
 (unknown) optimal query sequence by its large future-value drops, guess the
 per-bucket base and increment values on an eps^2-grid, solve an exact
 assignment feasibility program per guess, rebuild a policy from each
-feasible assignment, and keep the best. The (1 - 7 eps) guarantee is
-vacuous at desk-scale eps; the operative contracts are feasibility, value
-never above the true optimum, and feasibility of the truth-rounded guess.
+feasible assignment, and keep the best. An assignment is a tuple of
+per-bucket edge-index tuples. Edge loads depend only on the value
+candidate and a bucket's base grid index, so they are computed once per
+(candidate, grid base, edge) and shared by every guess. The (1 - 7 eps)
+guarantee is vacuous at desk-scale eps; the operative contracts are
+feasibility, value never above the true optimum, and feasibility of the
+truth-rounded guess.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -30,14 +35,23 @@ from .instances import Instance, is_infinite
 DEFAULT_GUESS_BUDGET = int(5e6)
 
 
+def grid_inverse(eps: float) -> int:
+    """1/eps, after checking 0 < eps < 1 with 1/eps an integer; the guess
+    grid has (1/eps)^2 steps."""
+    if not 0 < eps < 1:
+        raise ValueError(f"eps must lie in (0, 1), got {eps!r}")
+    inv = round(1.0 / eps)
+    if abs(inv - 1.0 / eps) > 1e-9:
+        raise ValueError(f"1/eps must be an integer, got eps = {eps!r}")
+    return inv
+
+
 @dataclass(frozen=True)
 class BucketPlan:
     """A guess: K jump drops, 2K+1 alternating buckets (index 0 is the
     stable tail queried last), and per-bucket grid guesses of the base
     future value and the bucket's value increment."""
 
-    estimate: float  # value estimate the grid is scaled by
-    eps: float
     jump_flags: tuple  # True at jump buckets
     base_guess: tuple
     delta_guess: tuple
@@ -47,28 +61,23 @@ class BucketPlan:
         return len(self.jump_flags)
 
 
-@dataclass
-class BucketAssignment:
-    by_bucket: tuple  # per bucket, tuple of assigned edge indices
-
-
-def check_assignment(
-    assign: BucketAssignment, plan: BucketPlan, loads, ell, relax: float = 0.0
-) -> list:
-    """The assignment program's constraints: each edge in one bucket, jump
-    capacity 1, per-bucket load >= (1 - relax) * DeltaGuess, global budget."""
+def check_assignment(by_bucket: tuple, plan: BucketPlan, loads, ell) -> list:
+    """The assignment program's constraints on `by_bucket` (per bucket, a
+    tuple of edge indices), with `loads[i][e]` edge e's load in bucket i:
+    each edge in one bucket, jump capacity 1, per-bucket load >=
+    DeltaGuess, global budget."""
     out = []
-    used = [e for bucket in assign.by_bucket for e in bucket]
+    used = [e for bucket in by_bucket for e in bucket]
     if len(used) != len(set(used)):
         out.append("edge assigned to two buckets")
     cap = np.inf if is_infinite(ell) else int(ell)
     if len(used) > cap:
         out.append("global budget exceeded")
-    for i, bucket in enumerate(assign.by_bucket):
+    for i, bucket in enumerate(by_bucket):
         if plan.jump_flags[i] and len(bucket) > 1:
             out.append(f"jump bucket {i} holds {len(bucket)} edges")
         load = sum(loads[i][e] for e in bucket)
-        if load < (1.0 - relax) * plan.delta_guess[i] - 1e-12:
+        if load < plan.delta_guess[i] - 1e-12:
             out.append(f"bucket {i} load {load} below requirement")
     return out
 
@@ -120,13 +129,19 @@ def estimate_value_candidates(table, ell, eps: float):
     return lpopt, out
 
 
-def _solve_assignment(loads, needs, caps, ell, n):
-    """First feasible assignment of edges to buckets (exact search).
+def solve_bucket_ip(plan: BucketPlan, loads, ell) -> tuple | None:
+    """Exact feasibility search for the bucket-assignment program.
 
-    `loads[i][e]` is edge e's load in bucket i, `needs[i]` the required
-    load, `caps[i]` the bucket capacity. Buckets with zero need stay empty
-    (never worse for feasibility). Returns per-bucket tuples or None.
+    `loads[i][e]` is edge e's load at bucket i's base guess. Returns the
+    first feasible assignment found, a tuple of per-bucket edge-index
+    tuples that `check_assignment` accepts, or None. Buckets with zero need
+    stay empty (never worse for feasibility). Replaces randomized rounding
+    with exact satisfaction of every constraint, including the load lower
+    bounds, which desk-scale sizes allow.
     """
+    needs = plan.delta_guess
+    n = len(loads[0])
+    caps = [1 if jump else n for jump in plan.jump_flags]
     order = sorted(range(len(needs)), key=lambda i: -needs[i])
     budget = n if is_infinite(ell) else min(int(ell), n)
 
@@ -171,40 +186,23 @@ def _solve_assignment(loads, needs, caps, ell, n):
     by_bucket = [()] * len(needs)
     for i, subset in res:
         by_bucket[i] = tuple(sorted(subset))
-    return tuple(by_bucket)
-
-
-def solve_bucket_ip(plan: BucketPlan, table, ell) -> BucketAssignment | None:
-    """Exact feasibility search for the bucket-assignment program.
-
-    Replaces randomized rounding with exact satisfaction of every
-    constraint, including the load lower bounds, which desk-scale sizes
-    allow.
-    """
-    n = len(table)
-    m = plan.n_buckets
-    loads = [[bucket_load(table[e], plan.base_guess[i]) for e in range(n)] for i in range(m)]
-    caps = [1 if plan.jump_flags[i] else n for i in range(m)]
-    per = _solve_assignment(loads, list(plan.delta_guess), caps, ell, n)
-    if per is None:
-        return None
-    assign = BucketAssignment(by_bucket=per)
-    bad = check_assignment(assign, plan, loads, ell)
+    by_bucket = tuple(by_bucket)
+    bad = check_assignment(by_bucket, plan, loads, ell)
     if bad:  # pragma: no cover - solver postcondition
         raise AssertionError(f"solver returned an invalid assignment: {bad}")
-    return assign
+    return by_bucket
 
 
-def reconstruct(assign: BucketAssignment, plan: BucketPlan, table):
-    """Rebuild a policy from an assignment: buckets are queried in reverse
-    index order (the last bucket's edges first, bucket 0's last), ascending
-    edge index inside a bucket; actions and value via the future-value
-    recursion. Returns (value, order, actions, future values, bucket of
-    each position)."""
+def reconstruct(by_bucket, table):
+    """Rebuild a policy from an assignment (per bucket, a tuple of edge
+    indices): buckets are queried in reverse index order (the last bucket's
+    edges first, bucket 0's last), ascending edge index inside a bucket;
+    actions and value via the future-value recursion. Returns (value,
+    order, actions, future values, bucket of each position)."""
     order = []
     bucket_of = []
-    for i in range(plan.n_buckets - 1, -1, -1):
-        for e in sorted(assign.by_bucket[i]):
+    for i in range(len(by_bucket) - 1, -1, -1):
+        for e in sorted(by_bucket[i]):
             order.append(e)
             bucket_of.append(i)
     rvals, actions = _future_values_core([table[e] for e in order])
@@ -217,7 +215,7 @@ def _enumerate_guesses(eps, K):
     {base + delta, base + delta + 1} grid steps (clamped at the top), jump
     deltas at least (1/eps - 1) steps, and the final base + delta reaching
     the top of the window."""
-    inv = round(1.0 / eps)
+    inv = grid_inverse(eps)
     gmax = inv * inv  # grid = {0, 1, ..., gmax} in units of eps^2 * E
     m = 2 * K + 1
     jump = [i % 2 == 1 for i in range(m)]
@@ -239,14 +237,18 @@ def _enumerate_guesses(eps, K):
 def guess_space_bound(eps: float, n_candidates: int) -> float:
     """Upper bound on the enumerated guess count (before the final-bucket
     pruning): per jump count K there are 2K+1 buckets, each with its delta
-    choices, and a binary carry per bucket transition."""
-    inv = round(1.0 / eps)
+    choices, and a binary carry per bucket transition. Saturates at
+    `math.inf` once a term no longer fits a float."""
+    inv = grid_inverse(eps)
     gmax = inv * inv
     stable_choices = gmax + 1
     jump_choices = max(gmax - inv + 2, 0)
     total = 0.0
     for K in range(0, inv + 1):
-        total += stable_choices ** (K + 1) * jump_choices**K * 2.0 ** (2 * K)
+        try:
+            total += stable_choices ** (K + 1) * jump_choices**K * 2.0 ** (2 * K)
+        except OverflowError:
+            return math.inf
     return total * n_candidates
 
 
@@ -254,16 +256,14 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
     """Best policy found over the whole guess space.
 
     Returns (value, order as table indices, actions, stats), where stats
-    counts the guesses tried and the feasible ones. Feasibility caching
-    collapses guesses that induce the same multiset of (base, delta, jump)
-    bucket descriptors, and reconstructions are cached by edge ordering.
+    counts the guesses tried and the feasible ones. Feasibility is cached
+    per multiset of (base, delta, jump) bucket descriptors; every feasible
+    guess is reconstructed, and the first best value found is kept.
     """
-    inv = round(1.0 / eps)
-    if not 0 < eps < 1 or abs(inv - 1.0 / eps) > 1e-9:
-        raise ValueError("eps must be in (0, 1) with 1/eps an integer")
+    inv = grid_inverse(eps)
     budget = budget_override(guess_budget if guess_budget is not None else DEFAULT_GUESS_BUDGET)
 
-    lpopt, candidates = estimate_value_candidates(table, ell, eps)
+    _, candidates = estimate_value_candidates(table, ell, eps)
     best_val, best_order, best_actions = 0.0, (), ()
     if not candidates:
         return best_val, best_order, best_actions, {"guesses_tried": 0, "feasible_guesses": 0}
@@ -273,35 +273,27 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
             f"guess space ~{bound:.3g} exceeds budget {budget}", estimate=bound
         )
 
-    n = len(table)
     guesses_tried = 0
     feasible = 0
     for e_val in candidates:
         step = eps * eps * e_val
+        # loads[g][e]: edge e's load at base grid index g
+        loads = [[bucket_load(acts, g * step) for acts in table] for g in range(inv * inv + 1)]
         for K in range(0, inv + 1):
             m = 2 * K + 1
             jump = tuple(i % 2 == 1 for i in range(m))
             feas_cache = {}
-            recon_cache = set()
             for combo in _enumerate_guesses(eps, K):
                 guesses_tried += 1
-                if guesses_tried > budget:
-                    raise BudgetExceeded(
-                        f"guess budget {budget} exceeded", estimate=float(guesses_tried)
-                    )
-                key = tuple(sorted(zip((bg for bg, _ in combo), (dg for _, dg in combo), jump)))
-                assign_sorted = feas_cache.get(key, "miss")
-                if assign_sorted == "miss":
-                    plan_sorted = BucketPlan(
-                        estimate=e_val,
-                        eps=eps,
+                key = tuple(sorted((bg, dg, j) for (bg, dg), j in zip(combo, jump)))
+                if key not in feas_cache:
+                    plan = BucketPlan(
                         jump_flags=tuple(j for _, _, j in key),
                         base_guess=tuple(bg * step for bg, _, _ in key),
                         delta_guess=tuple(dg * step for _, dg, _ in key),
                     )
-                    assign = solve_bucket_ip(plan_sorted, table, ell)
-                    assign_sorted = None if assign is None else assign.by_bucket
-                    feas_cache[key] = assign_sorted
+                    feas_cache[key] = solve_bucket_ip(plan, [loads[bg] for bg, _, _ in key], ell)
+                assign_sorted = feas_cache[key]
                 if assign_sorted is None:
                     continue
                 feasible += 1
@@ -310,23 +302,7 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
                 by_bucket = [()] * m
                 for pos, slot in enumerate(slots):
                     by_bucket[slot] = assign_sorted[pos]
-                plan = BucketPlan(
-                    estimate=e_val,
-                    eps=eps,
-                    jump_flags=jump,
-                    base_guess=tuple(bg * step for bg, _ in combo),
-                    delta_guess=tuple(dg * step for _, dg in combo),
-                )
-                assign = BucketAssignment(by_bucket=tuple(by_bucket))
-                order_key = tuple(
-                    e
-                    for i in range(m - 1, -1, -1)
-                    for e in sorted(assign.by_bucket[i])
-                )
-                if order_key in recon_cache:
-                    continue
-                recon_cache.add(order_key)
-                val, order, actions, _, _ = reconstruct(assign, plan, table)
+                val, order, actions, _, _ = reconstruct(by_bucket, table)
                 if val > best_val:
                     best_val, best_order, best_actions = val, order, actions
     stats = {"guesses_tried": guesses_tried, "feasible_guesses": feasible}
@@ -360,18 +336,15 @@ def truth_rounded_plan(table, ell, eps: float):
     of at least eps times the optimum), floors the true per-bucket base and
     increment values to the grid with estimate = optimum, and assigns each
     bucket its own positions' edges. Returns (plan, assignment, stats) with
-    the jump census; the assignment always satisfies the program, which is
-    the constructive feasibility argument.
+    the assignment a tuple of per-bucket edge-index tuples and stats the
+    jump census; the assignment always satisfies the program, which is the
+    constructive feasibility argument.
     """
-    inv = round(1.0 / eps)
-    if abs(inv - 1.0 / eps) > 1e-9:
-        raise ValueError("eps must have integer reciprocal")
+    inv = grid_inverse(eps)
     opt_val, order, _ = star_opt_core(table, ell)
     if opt_val <= 0.0:
-        plan = BucketPlan(
-            estimate=0.0, eps=eps, jump_flags=(False,), base_guess=(0.0,), delta_guess=(0.0,)
-        )
-        return plan, BucketAssignment(by_bucket=((),)), {"jumps": 0, "opt": 0.0}
+        plan = BucketPlan(jump_flags=(False,), base_guess=(0.0,), delta_guess=(0.0,))
+        return plan, ((),), {"jumps": 0, "opt": 0.0}
     rvals, _ = _future_values_core([table[e] for e in order])
     k = len(order)
     jumps = [i for i in range(k) if rvals[i] - rvals[i + 1] >= eps * rvals[0] - 1e-12]
@@ -403,14 +376,6 @@ def truth_rounded_plan(table, ell, eps: float):
         base.append(floor_grid(base_val))
         delta.append(floor_grid(dv))
         base_val += dv
-    plan = BucketPlan(
-        estimate=e_val,
-        eps=eps,
-        jump_flags=jump_flags,
-        base_guess=tuple(base),
-        delta_guess=tuple(delta),
-    )
-    assign = BucketAssignment(
-        by_bucket=tuple(tuple(sorted(order[i] for i in positions)) for positions in buckets_positions)
-    )
-    return plan, assign, {"jumps": K, "opt": opt_val, "max_jumps": inv}
+    plan = BucketPlan(jump_flags=jump_flags, base_guess=tuple(base), delta_guess=tuple(delta))
+    by_bucket = tuple(tuple(sorted(order[i] for i in positions)) for positions in buckets_positions)
+    return plan, by_bucket, {"jumps": K, "opt": opt_val, "max_jumps": inv}

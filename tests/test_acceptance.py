@@ -321,7 +321,7 @@ def test_criterion_9_star_eptas():
                 for i in range(plan.n_buckets)
             ]
             assert ep.check_assignment(assign, plan, loads, ell) == [], (seed, plan)
-            assert ep.solve_bucket_ip(plan, table, ell) is not None, (seed, plan)
+            assert ep.solve_bucket_ip(plan, loads, ell) is not None, (seed, plan)
             # (d) jump census
             census_max = max(census_max, stats["jumps"])
             assert stats["jumps"] <= stats["max_jumps"], (seed, stats)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -53,34 +55,29 @@ def test_estimate_contains_good_candidate():
 
 def test_solve_bucket_ip_trivial_and_single():
     table = [[("a", 1.0, 1.0)]]
-    plan = ep.BucketPlan(estimate=1.0, eps=0.5, jump_flags=(False,), base_guess=(0.0,), delta_guess=(0.0,))
-    assign = ep.solve_bucket_ip(plan, table, 1)
-    assert assign is not None and assign.by_bucket == ((),)
-    plan2 = ep.BucketPlan(estimate=1.0, eps=0.5, jump_flags=(False,), base_guess=(0.0,), delta_guess=(1.0,))
-    assign2 = ep.solve_bucket_ip(plan2, table, 1)
-    assert assign2.by_bucket == ((0,),)
-    plan3 = ep.BucketPlan(estimate=1.0, eps=0.5, jump_flags=(False,), base_guess=(0.0,), delta_guess=(2.0,))
-    assert ep.solve_bucket_ip(plan3, table, 1) is None
+    loads = [[ep.bucket_load(table[0], 0.0)]]
+    plan = ep.BucketPlan(jump_flags=(False,), base_guess=(0.0,), delta_guess=(0.0,))
+    assign = ep.solve_bucket_ip(plan, loads, 1)
+    assert assign is not None and assign == ((),)
+    plan2 = ep.BucketPlan(jump_flags=(False,), base_guess=(0.0,), delta_guess=(1.0,))
+    assign2 = ep.solve_bucket_ip(plan2, loads, 1)
+    assert assign2 == ((0,),)
+    plan3 = ep.BucketPlan(jump_flags=(False,), base_guess=(0.0,), delta_guess=(2.0,))
+    assert ep.solve_bucket_ip(plan3, loads, 1) is None
 
 
 def test_reconstruct_identities():
     inst = random_star(3, patience=3)
     table = table_of(inst)
-    plan = ep.BucketPlan(
-        estimate=1.0, eps=0.5, jump_flags=(False, True, False),
-        base_guess=(0.0, 0.0, 0.0), delta_guess=(0.0, 0.0, 0.0),
-    )
-    assign = ep.BucketAssignment(by_bucket=((0,), (1,), (2,)))
-    val, order, actions, rvals, bucket_of = ep.reconstruct(assign, plan, table)
+    assign = ((0,), (1,), (2,))
+    val, order, actions, rvals, bucket_of = ep.reconstruct(assign, table)
     # reverse bucket order, ascending ids inside
     assert order == (2, 1, 0)
     assert bucket_of == (2, 1, 0)
     ref, _ = _future_values_core([table[e] for e in order])
     assert val == ref[0]
     # empty assignment
-    val0, order0, actions0, _, _ = ep.reconstruct(
-        ep.BucketAssignment(by_bucket=((), (), ())), plan, table
-    )
+    val0, order0, actions0, _, _ = ep.reconstruct(((), (), ()), table)
     assert val0 == 0.0 and order0 == () and actions0 == ()
 
 
@@ -94,19 +91,23 @@ def test_eptas_single_edge():
     assert stats["guesses_tried"] > 0
 
 
+def dominant_star(seed):
+    # edge u0 deterministic with a dominant reward; junk edges tiny
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 6))
+    U = [f"u{i}" for i in range(n)]
+    q = {((f"u{i}", "v"), "a"): float(rng.uniform(0.1, 0.9)) for i in range(1, n)}
+    r = {((f"u{i}", "v"), "a"): float(rng.uniform(0.0, 0.05)) for i in range(1, n)}
+    q[(("u0", "v"), "a")] = 1.0
+    r[(("u0", "v"), "a")] = 10.0
+    pat = {u: 1 for u in U}
+    pat["v"] = int(rng.integers(1, n + 1))
+    return make_instance(U, ["v"], ["a"], q, r, pat)
+
+
 def test_eptas_dominant_deterministic_edge():
-    # edge 0 deterministic with a dominant reward; junk edges tiny
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(2, 6))
-        U = [f"u{i}" for i in range(n)]
-        q = {((f"u{i}", "v"), "a"): float(rng.uniform(0.1, 0.9)) for i in range(1, n)}
-        r = {((f"u{i}", "v"), "a"): float(rng.uniform(0.0, 0.05)) for i in range(1, n)}
-        q[(("u0", "v"), "a")] = 1.0
-        r[(("u0", "v"), "a")] = 10.0
-        pat = {u: 1 for u in U}
-        pat["v"] = int(rng.integers(1, n + 1))
-        inst = make_instance(U, ["v"], ["a"], q, r, pat)
+        inst = dominant_star(seed)
         opt = star_opt_bruteforce(inst).value
         assert opt == pytest.approx(10.0)
         pol, _ = ep.eptas(inst, 0.5)
@@ -147,7 +148,7 @@ def test_truth_rounded_plan_feasibility_lemma():
         ]
         assert ep.check_assignment(assign, plan, loads, ell) == [], (seed, plan, assign)
         # and the exact solver agrees the program is feasible
-        assert ep.solve_bucket_ip(plan, table, ell) is not None
+        assert ep.solve_bucket_ip(plan, loads, ell) is not None
 
 
 def test_ahead_behind_decomposition_identity():
@@ -159,7 +160,7 @@ def test_ahead_behind_decomposition_identity():
         plan, assign, stats = ep.truth_rounded_plan(table, inst.patience["v0"], 0.5)
         if stats["opt"] <= 0:
             continue
-        val, order, actions, rvals, bucket_of = ep.reconstruct(assign, plan, table)
+        val, order, actions, rvals, bucket_of = ep.reconstruct(assign, table)
         if not order:
             continue
         k = len(order)
@@ -180,6 +181,11 @@ def test_eptas_guess_budget():
     inst = random_star(7, patience=3)
     with pytest.raises(BudgetExceeded):
         ep.eptas(inst, 0.5, guess_budget=3)
+    # from eps = 1/50 on, the guess-space bound is past every float
+    assert ep.guess_space_bound(0.02, 1) == math.inf
+    assert ep.guess_space_bound(0.01, 2) == math.inf
+    with pytest.raises(BudgetExceeded):
+        ep.eptas(inst, 0.02)
 
 
 def test_eptas_rejects_bad_eps():
@@ -188,6 +194,12 @@ def test_eptas_rejects_bad_eps():
         ep.eptas(inst, 0.3)  # 1/eps not integral
     with pytest.raises(ValueError):
         ep.eptas(inst, 1.5)
+    with pytest.raises(ValueError):
+        ep.eptas(inst, 0)
+    table, ell = table_of(inst), inst.patience["v0"]
+    for eps in (0, 1, 0.3):
+        with pytest.raises(ValueError):
+            ep.truth_rounded_plan(table, ell, eps)
 
 
 def test_eptas_all_zero():
@@ -199,3 +211,47 @@ def test_eptas_all_zero():
     pol, stats = ep.eptas(inst, 0.5)
     assert pol.value == 0.0 and pol.edges == ()
     assert stats == {"guesses_tried": 0, "feasible_guesses": 0}
+
+
+# (value, order, actions, stats) of eptas_core at eps = 1/2 on pinned_stars(),
+# recorded with the earlier guess walk, which recomputed every load in each
+# solve and reconstructed each ordering once; compared with ==
+PINNED_OUTPUTS = [
+    (0.31744602679384326, (1,), ("a0",), {"guesses_tried": 10280, "feasible_guesses": 22}),
+    (0.6941777825242965, (1, 0), ("a1", "a0"), {"guesses_tried": 10280, "feasible_guesses": 194}),
+    (0.6770539645497593, (1, 0, 3), ("a0", "a0", "a0"), {"guesses_tried": 10280, "feasible_guesses": 441}),
+    (0.9690779125514912, (4, 2, 1), ("a1", "a0", "a1"), {"guesses_tried": 10280, "feasible_guesses": 892}),
+    (0.36761996434070954, (5, 4), ("a0", "a0"), {"guesses_tried": 10280, "feasible_guesses": 158}),
+    (0.7884211501500956, (3, 0, 1, 2), ("a1", "a1", "a0", "a0"), {"guesses_tried": 10280, "feasible_guesses": 614}),
+    (10.0, (4,), ("a",), {"guesses_tried": 10280, "feasible_guesses": 22}),
+    (0.0, (), (), {"guesses_tried": 0, "feasible_guesses": 0}),
+]
+
+
+def pinned_stars():
+    # the certify workload's (n, |A|, patience) shapes, one unbounded
+    # patience, one dominant-edge star and one all-zero star
+    shapes = ((2, 1, 1), (3, 2, 2), (4, 1, 3), (5, 2, 3), (6, 1, 2), (4, 2, INFINITE))
+    stars = [
+        random_instance(7100 + k, n, 1, n_a, patience_range=(ell,))
+        for k, (n, n_a, ell) in enumerate(shapes)
+    ]
+    stars.append(dominant_star(3))
+    U = ["u0", "u1", "u2"]
+    stars.append(
+        make_instance(
+            U, ["v"], ["a"], {((u, "v"), "a"): 0.5 for u in U}, {((u, "v"), "a"): 0.0 for u in U},
+            {"u0": 1, "u1": 1, "u2": 1, "v": 2},
+        )
+    )
+    return stars
+
+
+def test_eptas_outputs_reproduce():
+    for inst, expected in zip(pinned_stars(), PINNED_OUTPUTS, strict=True):
+        table = table_of(inst)
+        out = ep.eptas_core(table, inst.patience[inst.V[0]], 0.5)
+        assert out == expected, (out, expected)
+        # the enumeration stays within the bound the budget pre-check uses
+        _, cands = ep.estimate_value_candidates(table, inst.patience[inst.V[0]], 0.5)
+        assert out[3]["guesses_tried"] <= ep.guess_space_bound(0.5, len(cands))

@@ -195,6 +195,11 @@ def test_cli_star_eptas(tmp_path, capsys):
     assert run_cli(["star-eptas", inst_path, "--eps", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert {"value", "order", "actions", "guesses_tried", "feasible_guesses"} <= set(doc)
+    # eps = 0 is a usage error; eps = 1/50 puts the guess space past the budget
+    assert run_cli(["star-eptas", inst_path, "--eps", "0"]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert run_cli(["star-eptas", inst_path, "--eps", "0.02"]) == 2
+    assert "budget exceeded" in capsys.readouterr().err
 
 
 def test_cli_verify_numerics_subset(capsys):

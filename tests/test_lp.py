@@ -260,6 +260,19 @@ def test_colgen_matches_explicit_and_certifies_duals():
         assert validate_solution(cg, inst) == []
 
 
+def test_colgen_eptas_pricing():
+    inst = random_instance(100, 3, 2, 1, patience_range=(1, 2, INFINITE))
+    eps = 0.5
+    explicit = solve_lp_c_explicit(inst).objective
+    cg = solve_lp_c_colgen(inst, eps=eps, mode="eptas")
+    assert validate_solution(cg, inst) == []
+    assert check_marginal_feasibility(cg.marginals, inst) == []
+    assert (1 - eps) * explicit <= cg.objective <= explicit + 1e-9
+    # the default eps = 0.01 puts the guess space past every budget
+    with pytest.raises(BudgetExceeded):
+        solve_lp_c_colgen(inst, mode="eptas")
+
+
 def test_colgen_iteration_limit():
     inst = random_instance(11, 3, 3, 2, patience_range=(2,))
     with pytest.raises(IterationLimit):
