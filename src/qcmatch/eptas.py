@@ -4,8 +4,12 @@ Pipeline: estimate the optimum from the single-vertex edge LP, bucket the
 (unknown) optimal query sequence by its large future-value drops, guess the
 per-bucket base and increment values on an eps^2-grid, solve an exact
 assignment feasibility program per guess, rebuild a policy from each
-feasible assignment, and keep the best. An assignment is a tuple of
-per-bucket edge-index tuples. Edge loads depend only on the value
+feasible assignment, and keep the best. The guesses are walked bucket by
+bucket, and each prefix of buckets is solved as a program of its own: a
+prefix without a feasible assignment has no feasible extension, so its
+subtree is skipped (and still counted). Solutions are cached per value
+candidate by the multiset of bucket descriptors. An assignment is a tuple
+of per-bucket edge-index tuples. Edge loads depend only on the value
 candidate and a bucket's base grid index, so they are computed once per
 (candidate, grid base, edge) and shared by every guess. The (1 - 7 eps)
 guarantee is vacuous at desk-scale eps; the operative contracts are
@@ -15,6 +19,7 @@ truth-rounded guess.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from itertools import combinations
@@ -209,36 +214,13 @@ def reconstruct(by_bucket, table):
     return rvals[0], tuple(order), tuple(actions), rvals, tuple(bucket_of)
 
 
-def _enumerate_guesses(eps, K):
-    """Index-space guesses consistent with floor-to-grid rounding of a true
-    bucket decomposition: base 0 at the tail bucket, each next base one of
-    {base + delta, base + delta + 1} grid steps (clamped at the top), jump
-    deltas at least (1/eps - 1) steps, and the final base + delta reaching
-    the top of the window."""
-    inv = grid_inverse(eps)
-    gmax = inv * inv  # grid = {0, 1, ..., gmax} in units of eps^2 * E
-    m = 2 * K + 1
-    jump = [i % 2 == 1 for i in range(m)]
-
-    def levels(i, bg, acc):
-        dg_min = inv - 1 if jump[i] else 0
-        for dg in range(dg_min, gmax + 1):
-            if i == m - 1:
-                if bg + dg >= gmax - 1:  # the top bucket must reach the estimate
-                    yield acc + [(bg, dg)]
-                continue
-            nxt = {min(bg + dg, gmax), min(bg + dg + 1, gmax)}
-            for bg2 in nxt:
-                yield from levels(i + 1, bg2, acc + [(bg, dg)])
-
-    yield from levels(0, 0, [])
-
-
 def guess_space_bound(eps: float, n_candidates: int) -> float:
-    """Upper bound on the enumerated guess count (before the final-bucket
-    pruning): per jump count K there are 2K+1 buckets, each with its delta
-    choices, and a binary carry per bucket transition. Saturates at
-    `math.inf` once a term no longer fits a float."""
+    """Upper bound on the `guesses_tried` count of `eptas_core`, which
+    counts every guess, pruned or solved: per jump count K there are 2K+1
+    buckets, each with its delta choices, and a binary carry per bucket
+    transition, ignoring the clamp at the top of the grid and the rule
+    that the top bucket reaches the estimate. Saturates at `math.inf`
+    once a term no longer fits a float."""
     inv = grid_inverse(eps)
     gmax = inv * inv
     stable_choices = gmax + 1
@@ -256,11 +238,22 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
     """Best policy found over the whole guess space.
 
     Returns (value, order as table indices, actions, stats), where stats
-    counts the guesses tried and the feasible ones. Feasibility is cached
-    per multiset of (base, delta, jump) bucket descriptors; every feasible
-    guess is reconstructed, and the first best value found is kept.
+    counts the guesses tried and the feasible ones. A guess fixes, for
+    bucket i = 0, 1, ..., 2K, a grid base bg and delta dg: base 0 at the
+    tail bucket, each next base one of {bg + dg, bg + dg + 1} grid steps
+    (clamped at the top), jump deltas at least (1/eps - 1) steps, and the
+    top bucket's bg + dg reaching the top of the grid. The guesses are
+    walked depth-first, delta ascending at each bucket, and every prefix
+    is solved as a bucket program of its own, cached per value candidate
+    by the multiset of its (base, delta, jump) descriptors and shared by
+    every K. A prefix without a feasible assignment has no feasible
+    extension, nor has the same prefix with a larger last delta, so both
+    subtrees are skipped and their guesses still counted in
+    `guesses_tried`. Every feasible guess is reconstructed in walk order,
+    and the first best value found is kept.
     """
     inv = grid_inverse(eps)
+    gmax = inv * inv  # grid = {0, 1, ..., gmax} in units of eps^2 * E
     budget = budget_override(guess_budget if guess_budget is not None else DEFAULT_GUESS_BUDGET)
 
     _, candidates = estimate_value_candidates(table, ell, eps)
@@ -273,32 +266,65 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
             f"guess space ~{bound:.3g} exceeds budget {budget}", estimate=bound
         )
 
+    def deltas(i):  # bucket i's delta choices; odd buckets are jumps
+        return range(inv - 1 if i % 2 == 1 else 0, gmax + 1)
+
+    def next_bases(bg, dg):
+        return {min(bg + dg, gmax), min(bg + dg + 1, gmax)}
+
+    @functools.cache
+    def completions(m, i, bg, dg):
+        # guesses of m buckets whose bucket i has base bg and delta dg
+        if i == m - 1:
+            return int(bg + dg >= gmax - 1)  # the top bucket must reach the estimate
+        return sum(
+            completions(m, i + 1, bg2, dg2) for bg2 in next_bases(bg, dg) for dg2 in deltas(i + 1)
+        )
+
+    def walk(m, i, bg, prefix, solve):
+        # yields (guesses, descriptors, assignment): one feasible guess, or
+        # the guess count of a pruned subtree with descriptors None
+        for dg in deltas(i):
+            if i == m - 1 and bg + dg < gmax - 1:
+                continue
+            desc = prefix + ((bg, dg, i % 2 == 1),)
+            assign = solve(tuple(sorted(desc)))
+            if assign is None:  # larger deltas only raise this bucket's need
+                yield sum(completions(m, i, bg, d) for d in range(dg, gmax + 1)), None, None
+                return
+            if i == m - 1:
+                yield 1, desc, assign
+                continue
+            for bg2 in next_bases(bg, dg):
+                yield from walk(m, i + 1, bg2, desc, solve)
+
     guesses_tried = 0
     feasible = 0
     for e_val in candidates:
         step = eps * eps * e_val
         # loads[g][e]: edge e's load at base grid index g
-        loads = [[bucket_load(acts, g * step) for acts in table] for g in range(inv * inv + 1)]
+        loads = [[bucket_load(acts, g * step) for acts in table] for g in range(gmax + 1)]
+        feas_cache = {}
+
+        def solve(key):
+            if key not in feas_cache:
+                plan = BucketPlan(
+                    jump_flags=tuple(j for _, _, j in key),
+                    base_guess=tuple(bg * step for bg, _, _ in key),
+                    delta_guess=tuple(dg * step for _, dg, _ in key),
+                )
+                feas_cache[key] = solve_bucket_ip(plan, [loads[bg] for bg, _, _ in key], ell)
+            return feas_cache[key]
+
         for K in range(0, inv + 1):
             m = 2 * K + 1
-            jump = tuple(i % 2 == 1 for i in range(m))
-            feas_cache = {}
-            for combo in _enumerate_guesses(eps, K):
-                guesses_tried += 1
-                key = tuple(sorted((bg, dg, j) for (bg, dg), j in zip(combo, jump)))
-                if key not in feas_cache:
-                    plan = BucketPlan(
-                        jump_flags=tuple(j for _, _, j in key),
-                        base_guess=tuple(bg * step for bg, _, _ in key),
-                        delta_guess=tuple(dg * step for _, dg, _ in key),
-                    )
-                    feas_cache[key] = solve_bucket_ip(plan, [loads[bg] for bg, _, _ in key], ell)
-                assign_sorted = feas_cache[key]
-                if assign_sorted is None:
+            for count, desc, assign_sorted in walk(m, 0, 0, (), solve):
+                guesses_tried += count
+                if desc is None:
                     continue
                 feasible += 1
                 # remap the canonically-sorted buckets back to guess order
-                slots = sorted(range(m), key=lambda i: (combo[i][0], combo[i][1], jump[i]))
+                slots = sorted(range(m), key=desc.__getitem__)
                 by_bucket = [()] * m
                 for pos, slot in enumerate(slots):
                     by_bucket[slot] = assign_sorted[pos]

@@ -1,7 +1,10 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcmatch import eptas as ep
 from qcmatch.exact import BudgetExceeded, star_opt_bruteforce, _future_values_core
@@ -255,3 +258,150 @@ def test_eptas_outputs_reproduce():
         # the enumeration stays within the bound the budget pre-check uses
         _, cands = ep.estimate_value_candidates(table, inst.patience[inst.V[0]], 0.5)
         assert out[3]["guesses_tried"] <= ep.guess_space_bound(0.5, len(cands))
+
+
+def test_eptas_pinned_solve_counts(monkeypatch):
+    # the prefix prune solves at most half the 7,360 bucket programs the
+    # unpruned walk solves per star; counting through the module attribute
+    # also shows the walk looks solve_bucket_ip up where a tracer wraps it
+    calls = []
+    solve = ep.solve_bucket_ip
+
+    def counting(plan, loads, ell):
+        calls.append(plan)
+        return solve(plan, loads, ell)
+
+    monkeypatch.setattr(ep, "solve_bucket_ip", counting)
+    for inst in pinned_stars():
+        calls.clear()
+        value = ep.eptas_core(table_of(inst), inst.patience[inst.V[0]], 0.5)[0]
+        if value > 0:
+            assert 0 < len(calls) <= 3680, (value, len(calls))
+
+
+# ---------------------------------------------------------------------------
+# The unpruned walk, kept as the oracle for the prefix-pruned one
+# ---------------------------------------------------------------------------
+
+
+def enumerate_guesses(eps, K):
+    # every guess of 2K+1 buckets as (base, delta) grid indices, in the
+    # order eptas_core walks them
+    inv = ep.grid_inverse(eps)
+    gmax = inv * inv
+    m = 2 * K + 1
+    jump = [i % 2 == 1 for i in range(m)]
+
+    def levels(i, bg, acc):
+        dg_min = inv - 1 if jump[i] else 0
+        for dg in range(dg_min, gmax + 1):
+            if i == m - 1:
+                if bg + dg >= gmax - 1:
+                    yield acc + [(bg, dg)]
+                continue
+            nxt = {min(bg + dg, gmax), min(bg + dg + 1, gmax)}
+            for bg2 in nxt:
+                yield from levels(i + 1, bg2, acc + [(bg, dg)])
+
+    yield from levels(0, 0, [])
+
+
+def unpruned_eptas_core(table, ell, eps):
+    # solves every guess's full bucket program, one cache per (candidate, K)
+    inv = ep.grid_inverse(eps)
+    _, candidates = ep.estimate_value_candidates(table, ell, eps)
+    best_val, best_order, best_actions = 0.0, (), ()
+    guesses_tried = 0
+    feasible = 0
+    for e_val in candidates:
+        step = eps * eps * e_val
+        loads = [[ep.bucket_load(acts, g * step) for acts in table] for g in range(inv * inv + 1)]
+        for K in range(0, inv + 1):
+            m = 2 * K + 1
+            jump = tuple(i % 2 == 1 for i in range(m))
+            feas_cache = {}
+            for combo in enumerate_guesses(eps, K):
+                guesses_tried += 1
+                key = tuple(sorted((bg, dg, j) for (bg, dg), j in zip(combo, jump)))
+                if key not in feas_cache:
+                    plan = ep.BucketPlan(
+                        jump_flags=tuple(j for _, _, j in key),
+                        base_guess=tuple(bg * step for bg, _, _ in key),
+                        delta_guess=tuple(dg * step for _, dg, _ in key),
+                    )
+                    feas_cache[key] = ep.solve_bucket_ip(plan, [loads[bg] for bg, _, _ in key], ell)
+                assign_sorted = feas_cache[key]
+                if assign_sorted is None:
+                    continue
+                feasible += 1
+                slots = sorted(range(m), key=lambda i: (combo[i][0], combo[i][1], jump[i]))
+                by_bucket = [()] * m
+                for pos, slot in enumerate(slots):
+                    by_bucket[slot] = assign_sorted[pos]
+                val, order, actions, _, _ = ep.reconstruct(by_bucket, table)
+                if val > best_val:
+                    best_val, best_order, best_actions = val, order, actions
+    stats = {"guesses_tried": guesses_tried, "feasible_guesses": feasible}
+    return best_val, best_order, best_actions, stats
+
+
+unit = st.floats(0.0, 1.0, allow_subnormal=False)
+
+
+@st.composite
+def star_tables(draw):
+    # rewards: uniform, tied on a three-point set, or all zero
+    n = draw(st.integers(1, 6))
+    n_a = draw(st.integers(1, 3))
+    ell = draw(st.sampled_from([*range(1, n + 1), INFINITE]))
+    kind = draw(st.sampled_from(["uniform", "tied", "zero"]))
+    if kind == "uniform":
+        q, r = unit, unit
+    elif kind == "tied":
+        q, r = st.sampled_from([0.5, 1.0]), st.sampled_from([0.0, 0.5, 1.0])
+    else:
+        q, r = unit, st.just(0.0)
+    table = [[(f"a{k}", draw(q), draw(r)) for k in range(n_a)] for _ in range(n)]
+    return table, ell
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(star_tables())
+def test_pruned_walk_matches_unpruned(star):
+    table, ell = star
+    assert ep.eptas_core(table, ell, 0.5) == unpruned_eptas_core(table, ell, 0.5)
+
+
+@st.composite
+def bucket_programs(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 4))
+    ell = draw(st.sampled_from([*range(1, n + 1), INFINITE]))
+    loads = [[draw(unit) for _ in range(n)] for _ in range(m)]
+    jump = tuple(draw(st.booleans()) for _ in range(m))
+    delta = tuple(draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5])) for _ in range(m))
+    lower = tuple(draw(unit) for _ in range(m))
+    return ep.BucketPlan(jump_flags=jump, base_guess=(0.0,) * m, delta_guess=delta), loads, ell, lower
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(bucket_programs())
+def test_bucket_feasibility_survives_lowering_and_dropping(program):
+    # the two facts the prefix prune rests on
+    plan, loads, ell, lower = program
+    if ep.solve_bucket_ip(plan, loads, ell) is None:
+        return
+    m = plan.n_buckets
+    for i in range(m):
+        delta = list(plan.delta_guess)
+        delta[i] *= lower[i]
+        lowered = ep.BucketPlan(plan.jump_flags, plan.base_guess, tuple(delta))
+        assert ep.solve_bucket_ip(lowered, loads, ell) is not None, (plan, i)
+    for size in range(1, m):
+        for keep in combinations(range(m), size):
+            sub = ep.BucketPlan(
+                tuple(plan.jump_flags[i] for i in keep),
+                tuple(plan.base_guess[i] for i in keep),
+                tuple(plan.delta_guess[i] for i in keep),
+            )
+            assert ep.solve_bucket_ip(sub, [loads[i] for i in keep], ell) is not None, (plan, keep)
