@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 acceptance/threshold failure, 2 usage or config
 error. The QCL_BUDGET environment variable overrides every enumeration
-budget (states, orderings, plans, guesses).
+budget (DP states, star plan states, plans, guesses).
 """
 
 from __future__ import annotations

@@ -358,7 +358,7 @@ def eptas(inst: Instance, eps: float, guess_budget: int | None = None):
 def truth_rounded_plan(table, ell, eps: float):
     """Bucket plan and assignment built from the true optimal policy.
 
-    Brute-forces the optimum, marks the jump positions (future-value drops
+    Finds the exact optimum, marks the jump positions (future-value drops
     of at least eps times the optimum), floors the true per-bucket base and
     increment values to the grid with estimate = optimum, and assigns each
     bucket its own positions' edges. Returns (plan, assignment, stats) with

@@ -1,16 +1,19 @@
 """Exact desk-scale oracles: the optimal committal policy via memoized
-dynamic programming over the full decision MDP, and exhaustive star-graph
-optimization. Ground truth for everything else in the package."""
+dynamic programming over the full decision MDP, and the exact star-graph
+optimum by a scan over (edge, action) pairs in reward order. Ground truth
+for everything else in the package."""
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import chain
 
 from .instances import Instance, is_infinite
 
 DEFAULT_STATE_BUDGET = int(2e7)
-DEFAULT_ORDERING_BUDGET = int(1e7)
+# kept star plan states: about 1e5 of them take some 50 MB
+DEFAULT_STAR_STATE_BUDGET = int(1e5)
 
 
 class BudgetExceeded(Exception):
@@ -52,7 +55,8 @@ def opt_dp(inst: Instance, state_budget: int | None = None) -> OptDpResult:
     """Exact expected reward of the optimal committal policy.
 
     States are keyed by (available-edge mask, matched-U mask, matched-V
-    mask); remaining patience is derived from the queried set. A query is
+    mask). A vertex's remaining patience is read off the key: its patience
+    less the number of its incident edges already queried. A query is
     feasible when both endpoints are unmatched and have remaining patience;
     on success both endpoints become matched. Stopping is always allowed.
     (Edge, action) pairs absent from the instance have q = r = 0 and are
@@ -64,52 +68,52 @@ def opt_dp(inst: Instance, state_budget: int | None = None) -> OptDpResult:
     if n_e > 0 and 2.0**n_e > budget:
         raise BudgetExceeded(f"2^{n_e} availability sets exceed state budget", estimate=2.0**n_e)
 
-    u_index = {u: i for i, u in enumerate(inst.U)}
-    v_index = {v: i for i, v in enumerate(inst.V)}
-    e_u = [u_index[e[0]] for e in edges]
-    e_v = [v_index[e[1]] for e in edges]
-
-    def cap(s):
-        p = inst.patience[s]
-        deg = sum(1 for e in edges if s in e)
-        return deg if is_infinite(p) else min(int(p), deg)
-
-    cap_u = [cap(u) for u in inst.U]
-    cap_v = [cap(v) for v in inst.V]
+    # per edge: its endpoints' bits in the matched-U and matched-V masks
+    e_u = [1 << inst.U.index(e[0]) for e in edges]
+    e_v = [1 << inst.V.index(e[1]) for e in edges]
+    # per vertex of finite patience: the mask of its incident edges, and
+    # its patience
+    caps = [
+        (sum(1 << i for i, e in enumerate(edges) if s in e), inst.patience[s])
+        for s in (*inst.U, *inst.V)
+        if not is_infinite(inst.patience[s])
+    ]
 
     actions_per_edge = []
     for e in edges:
         acts = [(inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q]
         actions_per_edge.append(acts)
 
+    full = (1 << n_e) - 1
     memo: dict = {}
 
-    def solve(avail: int, mu: int, mv: int, rem_u: tuple, rem_v: tuple):
+    def solve(avail: int, mu: int, mv: int):
         key = (avail, mu, mv)
         hit = memo.get(key)
         if hit is not None:
             return hit
         if len(memo) >= budget:
             raise BudgetExceeded("state budget exhausted", estimate=float(len(memo)))
+        queried = full ^ avail
+        live = avail  # available edges whose endpoints have patience left
+        for inc, patience in caps:
+            if (queried & inc).bit_count() >= patience:
+                live &= ~inc
         best = 0.0
-        for i in range(n_e):
-            bit = 1 << i
-            if not avail & bit:
+        while live:
+            bit = live & -live  # live edges in index order
+            live ^= bit
+            i = bit.bit_length() - 1
+            ub, vb = e_u[i], e_v[i]
+            if mu & ub or mv & vb:
                 continue
-            ui, vi = e_u[i], e_v[i]
-            if (mu >> ui) & 1 or (mv >> vi) & 1:
-                continue
-            if rem_u[ui] == 0 or rem_v[vi] == 0:
-                continue
-            nru = rem_u[:ui] + (rem_u[ui] - 1,) + rem_u[ui + 1 :]
-            nrv = rem_v[:vi] + (rem_v[vi] - 1,) + rem_v[vi + 1 :]
             navail = avail & ~bit
             fail_val = None
             for q, r in actions_per_edge[i]:
                 if fail_val is None:
-                    fail_val = solve(navail, mu, mv, nru, nrv)
+                    fail_val = solve(navail, mu, mv)
                 if q > 0.0:
-                    succ_val = solve(navail, mu | (1 << ui), mv | (1 << vi), nru, nrv)
+                    succ_val = solve(navail, mu | ub, mv | vb)
                     val = q * (r + succ_val) + (1.0 - q) * fail_val
                 else:
                     val = fail_val
@@ -118,9 +122,8 @@ def opt_dp(inst: Instance, state_budget: int | None = None) -> OptDpResult:
         memo[key] = best
         return best
 
-    full = (1 << n_e) - 1
     try:
-        value = solve(full, 0, 0, tuple(cap_u), tuple(cap_v))
+        value = solve(full, 0, 0)
         return OptDpResult(value=value, states_expanded=len(memo))
     finally:
         # solve refers to itself through its closure; that cycle would keep
@@ -138,18 +141,6 @@ class StarPolicy:
     edges: tuple
     actions: tuple
     value: float
-
-
-def star_future_values(order, inst: Instance):
-    """Backward future values along a fixed edge order.
-
-    R[k] = 0 past the end; R[i] = max_a { r q + (1-q) R[i+1] } with ties
-    broken toward the lowest action index. Returns (R values length k+1,
-    chosen action per position).
-    """
-    if len(set(order)) != len(order):
-        raise ValueError("edges must be distinct")
-    return _future_values_core(star_action_table(inst, order))
 
 
 def star_action_table(inst: Instance, edges):
@@ -177,53 +168,69 @@ def _future_values_core(actions_per_position):
     return rvals, chosen
 
 
-def config_count(deg: int, ell, n_actions: int) -> float:
-    """Number of ordered plans over `deg` edges: distinct edges, at most
-    `ell` of them, one of `n_actions` actions per position."""
-    kmax = deg if is_infinite(ell) else min(int(ell), deg)
-    total = 0.0
-    perms = 1.0
-    for k in range(1, kmax + 1):
-        perms *= deg - k + 1
-        total += perms * n_actions**k
-    return total
+def star_opt_core(action_table, ell, state_budget: int | None = None):
+    """Exact optimum over plans: distinct edges, at most `ell` of them, one
+    action each; `action_table[i]` lists edge i's (action, q, r).
 
-
-def star_opt_core(action_table, ell, ordering_budget: int | None = None):
-    """Exhaustive optimum over ordered edge subsets of size <= ell.
-
-    `action_table[i]` is the list of (action, q, r) for edge index i. For a
-    fixed ordering the optimal actions come from the future-value recursion,
-    so only orderings are enumerated. Returns (value, index order, actions).
+    For a fixed set of (edge, action) pairs, nonincreasing reward order is
+    optimal (swapping adjacent pairs i, j changes the value by
+    q_i q_j (r_i - r_j)). So the pairs with q r > 0 are scanned from the
+    lowest reward up, each put in front of every kept plan suffix that
+    does not use its edge (value r q + (1 - q) * suffix value). Per key
+    (length, only when patience binds; the used edges with a pair still to
+    come) only the best suffix is kept, the shorter on ties, so no plan
+    goes on past a q = 1 pair. Raises `BudgetExceeded` once more plan
+    states than the budget are kept. Returns (value, index order,
+    actions); (0.0, (), ()) when no plan has positive value.
     """
-    from itertools import permutations
-
-    budget = budget_override(
-        ordering_budget if ordering_budget is not None else DEFAULT_ORDERING_BUDGET
+    budget = budget_override(state_budget if state_budget is not None else DEFAULT_STAR_STATE_BUDGET)
+    pairs = sorted(
+        (r, i, a, q) for i, acts in enumerate(action_table) for a, q, r in acts if q > 0.0 and r > 0.0
     )
-    n = len(action_table)
-    est = config_count(n, ell, 1)
-    if est > budget:
-        raise BudgetExceeded(f"{est:.3g} orderings exceed budget {budget}", estimate=est)
+    last = {i: j for j, (_, i, _, _) in enumerate(pairs)}  # each edge's last scan position
+    bounded = not is_infinite(ell) and int(ell) < len(last)
 
-    kmax = n if is_infinite(ell) else min(int(ell), n)
-    best_val, best_order, best_actions = 0.0, (), ()
-    for k in range(1, kmax + 1):
-        for order in permutations(range(n), k):
-            rvals, chosen = _future_values_core([action_table[i] for i in order])
-            if rvals[0] > best_val:
-                best_val, best_order, best_actions = rvals[0], order, tuple(chosen)
-    return best_val, best_order, best_actions
+    def keep(states, key, state):  # state: (value, positions, plan as nested (i, a, rest))
+        old = states.get(key)
+        if old is None or state[0] > old[0] or (state[0] == old[0] and state[1] < old[1]):
+            states[key] = state
+
+    # the empty suffix stays apart: under unbounded patience it shares its
+    # key with every suffix whose edges are all done, and would lose that
+    # key to them although a shortest plan may need to start from it
+    empty = ((0, 0), (0.0, 0, None))
+    states = {}
+    for j, (r, i, a, q) in enumerate(pairs):
+        bit = 1 << i
+        done = 0 if last[i] > j else bit  # once edge i is done, keys forget it
+        kept = {}
+        for (k, used), (val, n, plan) in chain([empty], states.items()):
+            if n:  # every kept suffix stays a candidate
+                keep(kept, (k, used & ~done), (val, n, plan))
+            if not used & bit and not (bounded and k == ell):
+                state = (r * q + (1.0 - q) * val, n + 1, (i, a, plan))
+                keep(kept, (k + 1 if bounded else 0, (used | bit) & ~done), state)
+        states = kept
+        if len(states) > budget:
+            raise BudgetExceeded(f"plan states exceed budget {budget}", estimate=float(len(states)))
+
+    value, _, plan = max(states.values(), key=lambda state: (state[0], -state[1]), default=empty[1])
+    order, actions = [], []
+    while plan is not None:
+        i, a, plan = plan
+        order.append(i)
+        actions.append(a)
+    return value, tuple(order), tuple(actions)
 
 
-def star_opt_bruteforce(inst: Instance, ordering_budget: int | None = None) -> StarPolicy:
+def star_opt_bruteforce(inst: Instance, state_budget: int | None = None) -> StarPolicy:
     """Exact optimal policy for a single-online-vertex instance."""
     if len(inst.V) != 1:
         raise ValueError("star brute force needs exactly one online vertex")
     v = inst.V[0]
     edges = inst.incident_to_v(v)
     table = star_action_table(inst, edges)
-    value, order, actions = star_opt_core(table, inst.patience[v], ordering_budget)
+    value, order, actions = star_opt_core(table, inst.patience[v], state_budget)
     return StarPolicy(
         edges=tuple(edges[i] for i in order), actions=actions, value=value
     )

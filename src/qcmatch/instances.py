@@ -62,9 +62,6 @@ class Instance:
     def incident_to_v(self, v: str) -> list[Edge]:
         return [e for e in self.edges() if e[1] == v]
 
-    def incident_to_u(self, u: str) -> list[Edge]:
-        return [e for e in self.edges() if e[0] == u]
-
     def all_one_sided(self) -> bool:
         """True when every offline vertex has patience 1 or unbounded."""
         return all(self.patience.get(u) == 1 or is_infinite(self.patience.get(u)) for u in self.U)
@@ -271,8 +268,6 @@ def random_instance(
     n_v: int,
     n_a: int,
     patience_range=(1, 2),
-    q_model: str = "uniform",
-    r_model: str = "uniform",
 ) -> Instance:
     """Deterministic-in-seed random instance on the complete bipartite graph.
 
@@ -282,8 +277,6 @@ def random_instance(
     """
     if min(n_u, n_v, n_a) < 1:
         raise ValueError("sizes must be >= 1")
-    if q_model != "uniform" or r_model != "uniform":
-        raise ValueError("unknown generator model")
     choices = list(patience_range)
     if not choices:
         raise ValueError("patience_range must be nonempty")

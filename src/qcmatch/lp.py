@@ -19,7 +19,6 @@ from . import simplex
 from .exact import (
     BudgetExceeded,
     budget_override,
-    config_count,
     expected_sequence_reward,
     star_opt_core,
 )
@@ -149,6 +148,18 @@ def check_edge_lp_feasibility(marginals: dict, inst: Instance, tol: float = 1e-9
 # ---------------------------------------------------------------------------
 # Configuration enumeration and the explicit LP
 # ---------------------------------------------------------------------------
+
+
+def config_count(deg: int, ell, n_actions: int) -> float:
+    """Number of ordered plans over `deg` edges: distinct edges, at most
+    `ell` of them, one of `n_actions` actions per position."""
+    kmax = deg if is_infinite(ell) else min(int(ell), deg)
+    total = 0.0
+    perms = 1.0
+    for k in range(1, kmax + 1):
+        perms *= deg - k + 1
+        total += perms * n_actions**k
+    return total
 
 
 def enumerate_configs(inst: Instance, v: str, config_budget: int | None = None) -> list:
@@ -319,8 +330,9 @@ def price_best_config(
 
     Returns (config or None, reduced value). With every reduced reward
     clamped to zero the empty plan wins and the reduced value is 0, which is
-    the column-generation termination signal. Exact mode enumerates; the
-    approximate mode calls the star approximation scheme (factor 1 - eps).
+    the column-generation termination signal. Exact mode runs the exact
+    star search; the approximate mode calls the star approximation scheme
+    (factor 1 - eps).
     """
     table, kept = _priced_action_table(inst, v, duals)
     if not table:
@@ -359,29 +371,18 @@ def solve_lp_c_colgen(
 ) -> LpSolution:
     """Column generation for the configuration LP.
 
-    Starts from the best single plan per online vertex at zero duals, then
-    alternates master solves with pricing until no plan's reduced value
-    beats its vertex's dual price by more than the tolerance. With exact
-    pricing the returned weights are optimal up to tolerances; with
-    approximate pricing the value is within factor (1 - eps). The
-    termination duals certify feasibility of the eps-relaxed dual system
-    either way (pricing values bound every plan's reduced value from above).
+    Starts from the empty master, whose duals are zero, and alternates
+    pricing with master solves until no plan's reduced value beats its
+    vertex's dual price by more than the tolerance. With exact pricing the
+    returned weights are optimal up to tolerances; with approximate pricing
+    the value is within factor (1 - eps). The termination duals certify
+    feasibility of the eps-relaxed dual system either way (pricing values
+    bound every plan's reduced value from above).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
     seen = set()
     configs = []
-    zero = DualPrices(
-        alpha={u: 0.0 for u in inst.U},
-        gamma={u: 0.0 for u in inst.U},
-        beta={v: 0.0 for v in inst.V},
-    )
-    for v in inst.V:
-        cfg, val = price_best_config(inst, v, zero, mode=mode, eps=eps)
-        if cfg is not None and val > pricing_tol:
-            configs.append(cfg)
-            seen.add((cfg.v, cfg.edges, cfg.actions))
-
     weights, value, duals = _solve_master(inst, configs)
     while True:
         improved = False

@@ -32,9 +32,6 @@ class LpResult:
     duals: np.ndarray
     iterations: int
 
-    def slack(self, A, b) -> np.ndarray:
-        return b - A @ self.x
-
 
 def solve_packing_lp(c, A, b, max_iter: int = 20000) -> LpResult:
     c = np.asarray(c, dtype=float)

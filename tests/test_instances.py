@@ -147,8 +147,6 @@ def test_random_instance_single_action_and_infinite_patience():
 def test_random_instance_bad_args():
     with pytest.raises(ValueError):
         random_instance(1, 0, 1, 1)
-    with pytest.raises(ValueError):
-        random_instance(1, 1, 1, 1, q_model="exotic")
 
 
 def test_serialize_roundtrip():
