@@ -54,76 +54,143 @@ class OptDpResult:
 def opt_dp(inst: Instance, state_budget: int | None = None) -> OptDpResult:
     """Exact expected reward of the optimal committal policy.
 
-    States are keyed by (available-edge mask, matched-U mask, matched-V
-    mask). A vertex's remaining patience is read off the key: its patience
-    less the number of its incident edges already queried. A query is
-    feasible when both endpoints are unmatched and have remaining patience;
-    on success both endpoints become matched. Stopping is always allowed.
-    (Edge, action) pairs absent from the instance have q = r = 0 and are
-    dominated by not querying, so only listed pairs are branched on.
+    A query is feasible when both endpoints are unmatched and have patience
+    left; on success both endpoints become matched, on failure both lose one
+    unit of patience. Stopping is always allowed. (Edge, action) pairs
+    absent from the instance have q = r = 0 and are dominated by not
+    querying, so only listed pairs are branched on.
+
+    A state is keyed by what decides its future, packed into one int: the
+    mask of live edges (available, with a listed action, both endpoints
+    unmatched and with patience left) and, above it, one field per binding
+    vertex: its remaining patience capped at its live degree, less one (0
+    once it has no live edges; a vertex of patience 1 needs no bits). A
+    vertex binds when its patience is below its live degree at the start;
+    the others never run out (each query at one costs a unit of patience
+    and a live edge). A success kills every edge at both endpoints; a
+    failure at an endpoint on its last unit of patience kills that
+    endpoint's edges; each binding vertex that loses edges caps its field
+    again. From equal keys the same queries are feasible with the same
+    outcomes, and patience beyond the live degree can never be spent, so
+    equal keys have equal values. `states_expanded` counts these canonical
+    states.
+
+    Raises `BudgetExceeded` before any state when failures alone reach
+    more states than the budget, and otherwise once the memo holds
+    `state_budget` states.
     """
     budget = budget_override(state_budget if state_budget is not None else DEFAULT_STATE_BUDGET)
     edges = inst.edges()
     n_e = len(edges)
-    if n_e > 0 and 2.0**n_e > budget:
-        raise BudgetExceeded(f"2^{n_e} availability sets exceed state budget", estimate=2.0**n_e)
+    pat = inst.patience
+    acts = [[(inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q] for e in edges]
+    inc = dict.fromkeys((*inst.U, *inst.V), 0)  # vertex -> mask of its edges
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    key = sum(1 << i for i, (u, v) in enumerate(edges) if acts[i] and pat[u] >= 1 and pat[v] >= 1)
+    field = {}  # binding vertex -> (offset, mask) of its field in the key
+    spare = {}  # vertex -> failures it can take and keep patience left
+    offset = n_e
+    for s, m in inc.items():
+        deg = (m & key).bit_count()
+        if pat[s] < deg:
+            width = int(pat[s] - 1).bit_length()  # none at patience 1
+            field[s] = (offset, (1 << width) - 1)
+            key |= (pat[s] - 1) << offset
+            offset += width
+            spare[s] = pat[s] - 1
+        else:
+            spare[s] = deg
 
-    # per edge: its endpoints' bits in the matched-U and matched-V masks
-    e_u = [1 << inst.U.index(e[0]) for e in edges]
-    e_v = [1 << inst.V.index(e[1]) for e in edges]
-    # per vertex of finite patience: the mask of its incident edges, and
-    # its patience
-    caps = [
-        (sum(1 << i for i, e in enumerate(edges) if s in e), inst.patience[s])
-        for s in (*inst.U, *inst.V)
-        if not is_infinite(inst.patience[s])
-    ]
+    # failures alone can remove any subset of a set of live edges that
+    # leaves every vertex patience, each subset leaving its own live mask:
+    # 2^size states at least
+    free = 0
+    for i, (u, v) in enumerate(edges):
+        if key >> i & 1 and spare[u] and spare[v]:
+            spare[u] -= 1
+            spare[v] -= 1
+            free += 1
+    if 2.0**free > budget:
+        raise BudgetExceeded(f"2^{free} failure sets exceed state budget", estimate=2.0**free)
 
-    actions_per_edge = []
-    for e in edges:
-        acts = [(inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q]
-        actions_per_edge.append(acts)
+    # per vertex s, per neighbour w with field bits: the bit of edge (s, w),
+    # w's field and w's edges; when s's edges go, w loses that one edge
+    near = {s: () for s in inc}
+    for i, (u, v) in enumerate(edges):
+        for s, w in ((u, v), (v, u)):
+            if w in field and field[w][1]:
+                near[s] += ((1 << i, *field[w], inc[w]),)
+
+    # per edge: its binding endpoints (a failure costs each a unit of
+    # patience or, at its last unit, its edges); on success, the edges and
+    # fields of both endpoints and their neighbours; the actions of q > 0
+    # as (q, r, 1 - q); whether one has q = 0
+    per_edge = []
+    for i, (u, v) in enumerate(edges):
+        ends, succ_kill = (), inc[u] | inc[v]
+        for s in (u, v):
+            if s in field:
+                o, m = field[s]
+                ends += ((o, m, inc[s], near[s]),)
+                succ_kill |= m << o
+        pos = [(q, r, 1.0 - q) for q, r in acts[i] if q > 0.0]
+        per_edge.append((ends, succ_kill, near[u] + near[v], pos, len(pos) < len(acts[i])))
 
     full = (1 << n_e) - 1
     memo: dict = {}
+    get = memo.get
 
-    def solve(avail: int, mu: int, mv: int):
-        key = (avail, mu, mv)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
+    def lose(key, child, nbrs):
+        # a neighbour that lost a live edge caps its field again
+        for b, o, m, w_inc in nbrs:
+            if key & b and (child >> o) & m >= (child & w_inc).bit_count() > 0:
+                child -= 1 << o
+        return child
+
+    def solve(key: int):
         if len(memo) >= budget:
             raise BudgetExceeded("state budget exhausted", estimate=float(len(memo)))
-        queried = full ^ avail
-        live = avail  # available edges whose endpoints have patience left
-        for inc, patience in caps:
-            if (queried & inc).bit_count() >= patience:
-                live &= ~inc
+        memo[key] = 0.0  # counts the state from its start, so at most `budget` are held
         best = 0.0
+        live = key & full
         while live:
             bit = live & -live  # live edges in index order
             live ^= bit
-            i = bit.bit_length() - 1
-            ub, vb = e_u[i], e_v[i]
-            if mu & ub or mv & vb:
-                continue
-            navail = avail & ~bit
-            fail_val = None
-            for q, r in actions_per_edge[i]:
-                if fail_val is None:
-                    fail_val = solve(navail, mu, mv)
-                if q > 0.0:
-                    succ_val = solve(navail, mu | ub, mv | vb)
-                    val = q * (r + succ_val) + (1.0 - q) * fail_val
-                else:
-                    val = fail_val
-                if val > best:
-                    best = val
+            ends, succ_kill, succ_nbrs, pos, zero = per_edge[bit.bit_length() - 1]
+            child = key ^ bit
+            if ends:
+                kill, nbrs = 0, ()
+                for o, m, s_inc, s_nbrs in ends:
+                    if (key >> o) & m:
+                        child -= 1 << o
+                    else:  # the last unit of patience
+                        kill |= s_inc
+                        nbrs += s_nbrs
+                if kill:
+                    child = lose(child, child & ~kill, nbrs)
+            fail_val = get(child)
+            if fail_val is None:
+                fail_val = solve(child)
+            if zero and fail_val > best:
+                best = fail_val
+            if pos:
+                child = key & ~succ_kill
+                if succ_nbrs:
+                    child = lose(key, child, succ_nbrs)
+                succ_val = get(child)
+                if succ_val is None:
+                    succ_val = solve(child)
+                for q, r, p in pos:
+                    val = q * (r + succ_val) + p * fail_val
+                    if val > best:
+                        best = val
         memo[key] = best
         return best
 
     try:
-        value = solve(full, 0, 0)
+        value = solve(key)
         return OptDpResult(value=value, states_expanded=len(memo))
     finally:
         # solve refers to itself through its closure; that cycle would keep

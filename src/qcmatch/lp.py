@@ -264,13 +264,6 @@ def _duals_from(tags, y, inst: Instance) -> DualPrices:
 
 
 def _solve_master(inst: Instance, configs: list):
-    if not configs:
-        empty = DualPrices(
-            alpha={u: 0.0 for u in inst.U},
-            gamma={u: 0.0 for u in inst.U},
-            beta={v: 0.0 for v in inst.V},
-        )
-        return {}, 0.0, empty
     A, rhs, tags = _master_rows(inst, configs)
     c = np.array([cfg.value for cfg in configs])
     res = simplex.solve_packing_lp(c, A, rhs)

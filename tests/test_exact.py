@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qcmatch.exact import (
     BudgetExceeded,
+    OptDpResult,
     _future_values_core,
     expected_sequence_reward,
     opt_dp,
@@ -18,8 +19,8 @@ from qcmatch.exact import (
     star_opt_bruteforce,
     star_opt_core,
 )
-from qcmatch.instances import INFINITE, make_instance, random_instance
-from qcmatch.lp import solve_lp_c_colgen, validate_solution
+from qcmatch.instances import INFINITE, is_infinite, make_instance, random_instance
+from qcmatch.lp import solve_edge_lp, solve_lp_c_colgen, validate_solution
 
 
 def star2():
@@ -51,6 +52,62 @@ def exhaustive_star_value(inst, ell=None):
             for q, r in pairs[e]:
                 stack.append((left - {e}, k + 1, total + alive * q * r, alive * (1.0 - q)))
     return best
+
+
+def matched_mask_dp(inst):
+    """Independent oracle: the optimal-policy DP keyed by (available edges,
+    matched U, matched V), as `opt_dp` was before it merged the states of
+    equal futures, without its budget. A vertex's remaining patience is its
+    patience less its queried incident edges."""
+    edges = inst.edges()
+    n_e = len(edges)
+    e_u = [1 << inst.U.index(e[0]) for e in edges]
+    e_v = [1 << inst.V.index(e[1]) for e in edges]
+    caps = [
+        (sum(1 << i for i, e in enumerate(edges) if s in e), inst.patience[s])
+        for s in (*inst.U, *inst.V)
+        if not is_infinite(inst.patience[s])
+    ]
+    actions_per_edge = [
+        [(inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q] for e in edges
+    ]
+    full = (1 << n_e) - 1
+    memo = {}
+
+    def solve(avail, mu, mv):
+        key = (avail, mu, mv)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        queried = full ^ avail
+        live = avail
+        for inc, patience in caps:
+            if (queried & inc).bit_count() >= patience:
+                live &= ~inc
+        best = 0.0
+        while live:
+            bit = live & -live
+            live ^= bit
+            i = bit.bit_length() - 1
+            ub, vb = e_u[i], e_v[i]
+            if mu & ub or mv & vb:
+                continue
+            navail = avail & ~bit
+            fail_val = None
+            for q, r in actions_per_edge[i]:
+                if fail_val is None:
+                    fail_val = solve(navail, mu, mv)
+                if q > 0.0:
+                    succ_val = solve(navail, mu | ub, mv | vb)
+                    val = q * (r + succ_val) + (1.0 - q) * fail_val
+                else:
+                    val = fail_val
+                if val > best:
+                    best = val
+        memo[key] = best
+        return best
+
+    return OptDpResult(value=solve(full, 0, 0), states_expanded=len(memo))
 
 
 def test_single_edge_value():
@@ -176,8 +233,8 @@ def test_budget_exceeded():
 
 
 def test_env_budget_override(monkeypatch):
-    inst = random_instance(3, 2, 2, 1, patience_range=(1,))
-    monkeypatch.setenv("QCL_BUDGET", "10")
+    inst = random_instance(3, 2, 2, 1, patience_range=(1,))  # 6 states
+    monkeypatch.setenv("QCL_BUDGET", "5")
     with pytest.raises(BudgetExceeded):
         opt_dp(inst)
     monkeypatch.delenv("QCL_BUDGET")
@@ -192,16 +249,17 @@ def test_dp_memo_freed_on_return_and_give_up():
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        assert opt_dp(inst).states_expanded == 11569
+        assert opt_dp(inst).states_expanded == 1241
         with pytest.raises(BudgetExceeded):
-            opt_dp(inst, state_budget=5000)
+            opt_dp(inst, state_budget=500)
         kept = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
         gc.enable()
-    # the memo of 11569 states takes about 3.8 MB; what stays is the
-    # interpreter's tuple free lists, about 0.14 MB
-    assert kept < 1_000_000, kept
+    # the memo of 1241 states takes about 0.15 MB; what stays until the
+    # cyclic collector runs is the per-edge tables solve closes over and
+    # the interpreter's free lists, about 0.05 MB
+    assert kept < 100_000, kept
 
 
 # ---------------------------------------------------------------------------
@@ -231,18 +289,19 @@ def test_star_opt_core_pins():
         assert star_opt_core(table, ell) == (value, tuple(order), tuple(actions)), seed
 
 
-# (seed, n_u, n_v, n_a, patience_range) -> (value, states_expanded)
+# (seed, n_u, n_v, n_a, patience_range) -> (value, states_expanded): the
+# values as first recorded, the canonical state counts
 OPT_DP_PINS = [
-    ((0, 2, 2, 1, (1, 2)), 0.40913111316680073, 36),
-    ((2, 3, 3, 1, (2,)), 2.010747557310786, 2050),
-    ((3, 2, 3, 2, (1, INFINITE)), 0.9818145635371891, 88),
-    ((4, 4, 2, 1, (1, 2, 3)), 1.129265175271082, 320),
-    ((5, 3, 3, 2, (1,)), 1.033998449597495, 139),
-    ((9, 4, 3, 1, (2,)), 1.5549115923734114, 11569),
-    ((10, 4, 1, 3, (INFINITE,)), 0.9280011890947859, 48),
-    ((11, 2, 4, 2, (3,)), 1.604580953955607, 1599),
-    ((12, 3, 3, 2, (1, 2, INFINITE)), 1.9588991242622686, 628),
-    ((13, 5, 2, 1, (1, 2, INFINITE)), 1.0576272309537864, 2108),
+    ((0, 2, 2, 1, (1, 2)), 0.40913111316680073, 10),
+    ((2, 3, 3, 1, (2,)), 2.010747557310786, 386),
+    ((3, 2, 3, 2, (1, INFINITE)), 0.9818145635371891, 21),
+    ((4, 4, 2, 1, (1, 2, 3)), 1.129265175271082, 45),
+    ((5, 3, 3, 2, (1,)), 1.033998449597495, 20),
+    ((9, 4, 3, 1, (2,)), 1.5549115923734114, 1241),
+    ((10, 4, 1, 3, (INFINITE,)), 0.9280011890947859, 16),
+    ((11, 2, 4, 2, (3,)), 1.604580953955607, 172),
+    ((12, 3, 3, 2, (1, 2, INFINITE)), 1.9588991242622686, 65),
+    ((13, 5, 2, 1, (1, 2, INFINITE)), 1.0576272309537864, 200),
 ]
 
 
@@ -252,13 +311,55 @@ def test_opt_dp_pins():
         assert (res.value, res.states_expanded) == (value, states), seed
 
 
-def test_opt_dp_gives_up_at_pinned_state_count():
-    # the pipeline's give-up case: 18 edges pass the 2^|E| check, the DP
-    # then fills its whole budget
+def test_opt_dp_canonical_state_counts():
+    # the pipeline's former give-up case solves under the harness budget,
+    # within the edge LP's bound
     inst = random_instance(7, 6, 3, 2, patience_range=(1, 2, INFINITE))
+    res = opt_dp(inst, state_budget=500_000)
+    assert res == OptDpResult(value=2.0596837073472294, states_expanded=35888)
+    assert res.value <= solve_edge_lp(inst).value
+    # a smaller budget still gives up once it is spent
+    start = time.perf_counter()
     with pytest.raises(BudgetExceeded, match="state budget exhausted") as exc:
-        opt_dp(inst, state_budget=500_000)
-    assert exc.value.estimate == 500_000.0
+        opt_dp(inst, state_budget=10_000)
+    assert exc.value.estimate == 10_000.0
+    assert time.perf_counter() - start < 2.0
+    # unbounded patience, every q inside (0, 1): failures reach every
+    # subset of the 18 edges, and each is one state
+    inst = random_instance(1048, 6, 3, 2, patience_range=(INFINITE,))
+    assert opt_dp(inst, state_budget=500_000).states_expanded == 2**18
+    # a budget below those 2^18 failure sets is refused before any state
+    with pytest.raises(BudgetExceeded, match="2\\^18 failure sets") as exc:
+        opt_dp(inst, state_budget=2**18 - 1)
+    assert exc.value.estimate == 2.0**18
+
+
+# ---------------------------------------------------------------------------
+# The DP against the matched-mask oracle, on tied grids
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def tied_graphs(draw):
+    n_u, n_v, n_a = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    U, V, A = [f"u{i}" for i in range(n_u)], [f"v{j}" for j in range(n_v)], [f"a{k}" for k in range(n_a)]
+    q, r = {}, {}
+    for e in ((u, v) for u in U for v in V):
+        if draw(st.integers(0, 3)):  # three edges in four are listed
+            for a in A:
+                q[(e, a)] = draw(st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 1.0))
+                r[(e, a)] = draw(st.sampled_from([0.0, 1.0, 2.0]) | st.floats(0.0, 2.0))
+    pats = {s: draw(st.sampled_from([0, 1, 2, 3, INFINITE])) for s in U + V}
+    return make_instance(U, V, A, q, r, pats)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(tied_graphs())
+def test_opt_dp_matches_matched_mask_oracle(inst):
+    res = opt_dp(inst)
+    assert res.value == matched_mask_dp(inst).value
+    # the failure-set floor never refuses a budget the states fit in
+    assert opt_dp(inst, state_budget=res.states_expanded) == res
 
 
 # ---------------------------------------------------------------------------
