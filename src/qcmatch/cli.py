@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 acceptance/threshold failure, 2 usage or config
 error. The QCL_BUDGET environment variable overrides every enumeration
-budget (DP states, star plan states, plans, guesses).
+budget (DP states, star plan states, plans, EPTAS guesses tried).
 """
 
 from __future__ import annotations

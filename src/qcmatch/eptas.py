@@ -7,11 +7,14 @@ assignment feasibility program per guess, rebuild a policy from each
 feasible assignment, and keep the best. The guesses are walked bucket by
 bucket, and each prefix of buckets is solved as a program of its own: a
 prefix without a feasible assignment has no feasible extension, so its
-subtree is skipped (and still counted). Solutions are cached per value
-candidate by the multiset of bucket descriptors. An assignment is a tuple
-of per-bucket edge-index tuples. Edge loads depend only on the value
-candidate and a bucket's base grid index, so they are computed once per
-(candidate, grid base, edge) and shared by every guess. The (1 - 7 eps)
+subtree is skipped. Solutions are cached per value candidate by the
+multiset of bucket descriptors. Each prefix program checked, cached or
+not, is one guess tried, charged against the guess budget as the count
+grows. An assignment is a tuple of per-bucket edge-index tuples. Edge
+loads depend only on the value candidate and a bucket's base grid index,
+so they are computed once per (candidate, grid base, edge), when a guess
+first needs that base, and shared by every guess; all the walk's work
+thus grows with the guesses tried, whatever eps is. The (1 - 7 eps)
 guarantee is vacuous at desk-scale eps; the operative contracts are
 feasibility, value never above the true optimum, and feasibility of the
 truth-rounded guess.
@@ -19,8 +22,6 @@ truth-rounded guess.
 
 from __future__ import annotations
 
-import functools
-import math
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -37,7 +38,7 @@ from .exact import (
 )
 from .instances import Instance, is_infinite
 
-DEFAULT_GUESS_BUDGET = int(5e6)
+DEFAULT_GUESS_BUDGET = int(1e5)
 
 
 def grid_inverse(eps: float) -> int:
@@ -214,26 +215,6 @@ def reconstruct(by_bucket, table):
     return rvals[0], tuple(order), tuple(actions), rvals, tuple(bucket_of)
 
 
-def guess_space_bound(eps: float, n_candidates: int) -> float:
-    """Upper bound on the `guesses_tried` count of `eptas_core`, which
-    counts every guess, pruned or solved: per jump count K there are 2K+1
-    buckets, each with its delta choices, and a binary carry per bucket
-    transition, ignoring the clamp at the top of the grid and the rule
-    that the top bucket reaches the estimate. Saturates at `math.inf`
-    once a term no longer fits a float."""
-    inv = grid_inverse(eps)
-    gmax = inv * inv
-    stable_choices = gmax + 1
-    jump_choices = max(gmax - inv + 2, 0)
-    total = 0.0
-    for K in range(0, inv + 1):
-        try:
-            total += stable_choices ** (K + 1) * jump_choices**K * 2.0 ** (2 * K)
-        except OverflowError:
-            return math.inf
-    return total * n_candidates
-
-
 def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
     """Best policy found over the whole guess space.
 
@@ -248,80 +229,69 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
     by the multiset of its (base, delta, jump) descriptors and shared by
     every K. A prefix without a feasible assignment has no feasible
     extension, nor has the same prefix with a larger last delta, so both
-    subtrees are skipped and their guesses still counted in
-    `guesses_tried`. Every feasible guess is reconstructed in walk order,
-    and the first best value found is kept.
+    subtrees are skipped. Each prefix program the walk checks, cached or
+    not, counts as one guess tried in `guesses_tried`; once that count
+    passes the guess budget the walk raises `BudgetExceeded`. Every
+    feasible guess is reconstructed in walk order, and the first best
+    value found is kept.
     """
     inv = grid_inverse(eps)
     gmax = inv * inv  # grid = {0, 1, ..., gmax} in units of eps^2 * E
     budget = budget_override(guess_budget if guess_budget is not None else DEFAULT_GUESS_BUDGET)
 
     _, candidates = estimate_value_candidates(table, ell, eps)
-    best_val, best_order, best_actions = 0.0, (), ()
-    if not candidates:
-        return best_val, best_order, best_actions, {"guesses_tried": 0, "feasible_guesses": 0}
-    bound = guess_space_bound(eps, len(candidates))
-    if bound > budget:
-        raise BudgetExceeded(
-            f"guess space ~{bound:.3g} exceeds budget {budget}", estimate=bound
-        )
 
-    def deltas(i):  # bucket i's delta choices; odd buckets are jumps
-        return range(inv - 1 if i % 2 == 1 else 0, gmax + 1)
-
-    def next_bases(bg, dg):
-        return {min(bg + dg, gmax), min(bg + dg + 1, gmax)}
-
-    @functools.cache
-    def completions(m, i, bg, dg):
-        # guesses of m buckets whose bucket i has base bg and delta dg
+    def deltas(m, i, bg):
+        # bucket i's delta choices: odd buckets are jumps, and the top
+        # bucket's base plus delta reaches the top of the grid
+        lo = inv - 1 if i % 2 == 1 else 0
         if i == m - 1:
-            return int(bg + dg >= gmax - 1)  # the top bucket must reach the estimate
-        return sum(
-            completions(m, i + 1, bg2, dg2) for bg2 in next_bases(bg, dg) for dg2 in deltas(i + 1)
-        )
+            lo = max(lo, gmax - 1 - bg)
+        return range(lo, gmax + 1)
 
     def walk(m, i, bg, prefix, solve):
-        # yields (guesses, descriptors, assignment): one feasible guess, or
-        # the guess count of a pruned subtree with descriptors None
-        for dg in deltas(i):
-            if i == m - 1 and bg + dg < gmax - 1:
-                continue
+        # yields (descriptors, assignment) of every feasible guess
+        for dg in deltas(m, i, bg):
             desc = prefix + ((bg, dg, i % 2 == 1),)
             assign = solve(tuple(sorted(desc)))
             if assign is None:  # larger deltas only raise this bucket's need
-                yield sum(completions(m, i, bg, d) for d in range(dg, gmax + 1)), None, None
                 return
             if i == m - 1:
-                yield 1, desc, assign
+                yield desc, assign
                 continue
-            for bg2 in next_bases(bg, dg):
+            for bg2 in {min(bg + dg, gmax), min(bg + dg + 1, gmax)}:
                 yield from walk(m, i + 1, bg2, desc, solve)
 
+    best_val, best_order, best_actions = 0.0, (), ()
     guesses_tried = 0
     feasible = 0
     for e_val in candidates:
         step = eps * eps * e_val
-        # loads[g][e]: edge e's load at base grid index g
-        loads = [[bucket_load(acts, g * step) for acts in table] for g in range(gmax + 1)]
+        loads = {}  # loads[g][e]: edge e's load at base grid index g
         feas_cache = {}
 
+        def load_row(g):
+            if g not in loads:
+                loads[g] = [bucket_load(acts, g * step) for acts in table]
+            return loads[g]
+
         def solve(key):
+            nonlocal guesses_tried
+            guesses_tried += 1
+            if guesses_tried > budget:
+                raise BudgetExceeded(f"more than {budget} guesses tried", estimate=guesses_tried)
             if key not in feas_cache:
                 plan = BucketPlan(
                     jump_flags=tuple(j for _, _, j in key),
                     base_guess=tuple(bg * step for bg, _, _ in key),
                     delta_guess=tuple(dg * step for _, dg, _ in key),
                 )
-                feas_cache[key] = solve_bucket_ip(plan, [loads[bg] for bg, _, _ in key], ell)
+                feas_cache[key] = solve_bucket_ip(plan, [load_row(bg) for bg, _, _ in key], ell)
             return feas_cache[key]
 
         for K in range(0, inv + 1):
             m = 2 * K + 1
-            for count, desc, assign_sorted in walk(m, 0, 0, (), solve):
-                guesses_tried += count
-                if desc is None:
-                    continue
+            for desc, assign_sorted in walk(m, 0, 0, (), solve):
                 feasible += 1
                 # remap the canonically-sorted buckets back to guess order
                 slots = sorted(range(m), key=desc.__getitem__)

@@ -26,6 +26,8 @@ from .instances import Instance, is_infinite
 
 DEFAULT_CONFIG_BUDGET = int(1e5)
 _WEIGHT_EPS = 1e-12
+# margin by which a priced plan must beat its vertex's dual to enter the master
+_PRICING_TOL = 1e-9
 
 
 class IterationLimit(Exception):
@@ -127,24 +129,6 @@ def solve_edge_lp(inst: Instance) -> EdgeLpResult:
     return EdgeLpResult(value=res.value, z=z, duals=duals)
 
 
-def check_edge_lp_feasibility(marginals: dict, inst: Instance, tol: float = 1e-9) -> list:
-    """All edge-LP constraints evaluated at a marginal vector (both sides)."""
-    out = []
-    for s in list(inst.U) + list(inst.V):
-        qmass = sum(inst.q_of(e, a) * z for (e, a), z in marginals.items() if s in e)
-        if qmass > 1.0 + tol:
-            out.append(f"match[{s}]: {qmass}")
-        if not is_infinite(inst.patience[s]):
-            mass = sum(z for (e, a), z in marginals.items() if s in e)
-            if mass > inst.patience[s] + tol:
-                out.append(f"patience[{s}]: {mass}")
-    for e in inst.edges():
-        mass = sum(z for (e2, a), z in marginals.items() if e2 == e)
-        if mass > 1.0 + tol:
-            out.append(f"edge[{e}]: {mass}")
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Configuration enumeration and the explicit LP
 # ---------------------------------------------------------------------------
@@ -202,21 +186,21 @@ def edge_marginals(weights: dict, inst: Instance) -> dict:
 
 
 def check_marginal_feasibility(marginals: dict, inst: Instance, tol: float = 1e-9) -> list:
-    """The three offline-side marginal inequalities: per edge at most one
-    action in expectation, per offline vertex at most patience queries and
-    at most one expected match."""
+    """Every edge-LP inequality at a marginal vector: per edge at most one
+    action in expectation, and per vertex on either side at most patience
+    queries and at most one expected match."""
     out = []
     for e in inst.edges():
         mass = sum(z for (e2, _), z in marginals.items() if e2 == e)
         if mass > 1.0 + tol:
             out.append(f"edge[{e}]: action mass {mass}")
-    for u in inst.U:
-        mass = sum(z for (e, _), z in marginals.items() if e[0] == u)
-        if not is_infinite(inst.patience[u]) and mass > inst.patience[u] + tol:
-            out.append(f"queries[{u}]: {mass}")
-        qmass = sum(inst.q_of(e, a) * z for (e, a), z in marginals.items() if e[0] == u)
+    for s in list(inst.U) + list(inst.V):
+        mass = sum(z for (e, _), z in marginals.items() if s in e)
+        if not is_infinite(inst.patience[s]) and mass > inst.patience[s] + tol:
+            out.append(f"queries[{s}]: {mass}")
+        qmass = sum(inst.q_of(e, a) * z for (e, a), z in marginals.items() if s in e)
         if qmass > 1.0 + tol:
-            out.append(f"matches[{u}]: {qmass}")
+            out.append(f"matches[{s}]: {qmass}")
     return out
 
 
@@ -360,7 +344,6 @@ def solve_lp_c_colgen(
     eps: float = 0.01,
     mode: str = "exact",
     iteration_limit: int = 10000,
-    pricing_tol: float = 1e-9,
 ) -> LpSolution:
     """Column generation for the configuration LP.
 
@@ -383,7 +366,7 @@ def solve_lp_c_colgen(
             cfg, val = price_best_config(inst, v, duals, mode=mode, eps=eps)
             if cfg is None:
                 continue
-            if val > duals.beta.get(v, 0.0) + pricing_tol:
+            if val > duals.beta.get(v, 0.0) + _PRICING_TOL:
                 key = (cfg.v, cfg.edges, cfg.actions)
                 if key in seen:
                     continue

@@ -1,4 +1,4 @@
-import math
+import time
 from itertools import combinations
 
 import numpy as np
@@ -184,11 +184,43 @@ def test_eptas_guess_budget():
     inst = random_star(7, patience=3)
     with pytest.raises(BudgetExceeded):
         ep.eptas(inst, 0.5, guess_budget=3)
-    # from eps = 1/50 on, the guess-space bound is past every float
-    assert ep.guess_space_bound(0.02, 1) == math.inf
-    assert ep.guess_space_bound(0.01, 2) == math.inf
+    # at eps = 1/50 the walk tries guesses until the default budget runs out
+    t0 = time.monotonic()
     with pytest.raises(BudgetExceeded):
         ep.eptas(inst, 0.02)
+    assert time.monotonic() - t0 < 20.0
+
+
+def test_eptas_small_eps_refused_by_budget():
+    # at eps = 1e-4 the grid has 1e8 + 1 bases and the top bucket 1e8 + 1
+    # deltas; the walk touches only what its guesses need, so it refuses
+    # after the same budgeted work as at eps = 1/50
+    inst = random_star(7, patience=3)
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        ep.eptas(inst, 1e-4, guess_budget=1000)
+    assert time.monotonic() - t0 < 1.0
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        ep.eptas(inst, 1e-4)
+    assert time.monotonic() - t0 < 20.0
+
+
+def test_eptas_third_within_default_budget():
+    # the walk tries 27,062 guesses here, far fewer than the 4.4e7 the
+    # guess space holds at eps = 1/3; value, order, actions and feasible
+    # guesses are those of the walk under an unlimited budget, and the
+    # value is the optimum
+    inst = random_instance(7201, 4, 1, 2, patience_range=(3,))
+    out = ep.eptas_core(table_of(inst), inst.patience[inst.V[0]], 1 / 3)
+    expected = (
+        0.5117241985547222,
+        (0, 1, 3),
+        ("a0", "a0", "a0"),
+        {"guesses_tried": 27062, "feasible_guesses": 4423},
+    )
+    assert out == expected, out
+    assert out[0] == star_opt_bruteforce(inst).value
 
 
 def test_eptas_rejects_bad_eps():
@@ -217,16 +249,18 @@ def test_eptas_all_zero():
 
 
 # (value, order, actions, stats) of eptas_core at eps = 1/2 on pinned_stars(),
-# recorded with the earlier guess walk, which recomputed every load in each
-# solve and reconstructed each ordering once; compared with ==
+# compared with ==. Value, order, actions and feasible_guesses were recorded
+# with the earlier guess walk, which recomputed every load in each solve and
+# reconstructed each ordering once; guesses_tried counts the prefix programs
+# the pruned walk checks
 PINNED_OUTPUTS = [
-    (0.31744602679384326, (1,), ("a0",), {"guesses_tried": 10280, "feasible_guesses": 22}),
-    (0.6941777825242965, (1, 0), ("a1", "a0"), {"guesses_tried": 10280, "feasible_guesses": 194}),
-    (0.6770539645497593, (1, 0, 3), ("a0", "a0", "a0"), {"guesses_tried": 10280, "feasible_guesses": 441}),
-    (0.9690779125514912, (4, 2, 1), ("a1", "a0", "a1"), {"guesses_tried": 10280, "feasible_guesses": 892}),
-    (0.36761996434070954, (5, 4), ("a0", "a0"), {"guesses_tried": 10280, "feasible_guesses": 158}),
-    (0.7884211501500956, (3, 0, 1, 2), ("a1", "a1", "a0", "a0"), {"guesses_tried": 10280, "feasible_guesses": 614}),
-    (10.0, (4,), ("a",), {"guesses_tried": 10280, "feasible_guesses": 22}),
+    (0.31744602679384326, (1,), ("a0",), {"guesses_tried": 222, "feasible_guesses": 22}),
+    (0.6941777825242965, (1, 0), ("a1", "a0"), {"guesses_tried": 877, "feasible_guesses": 194}),
+    (0.6770539645497593, (1, 0, 3), ("a0", "a0", "a0"), {"guesses_tried": 1405, "feasible_guesses": 441}),
+    (0.9690779125514912, (4, 2, 1), ("a1", "a0", "a1"), {"guesses_tried": 2465, "feasible_guesses": 892}),
+    (0.36761996434070954, (5, 4), ("a0", "a0"), {"guesses_tried": 749, "feasible_guesses": 158}),
+    (0.7884211501500956, (3, 0, 1, 2), ("a1", "a1", "a0", "a0"), {"guesses_tried": 1687, "feasible_guesses": 614}),
+    (10.0, (4,), ("a",), {"guesses_tried": 222, "feasible_guesses": 22}),
     (0.0, (), (), {"guesses_tried": 0, "feasible_guesses": 0}),
 ]
 
@@ -252,12 +286,8 @@ def pinned_stars():
 
 def test_eptas_outputs_reproduce():
     for inst, expected in zip(pinned_stars(), PINNED_OUTPUTS, strict=True):
-        table = table_of(inst)
-        out = ep.eptas_core(table, inst.patience[inst.V[0]], 0.5)
+        out = ep.eptas_core(table_of(inst), inst.patience[inst.V[0]], 0.5)
         assert out == expected, (out, expected)
-        # the enumeration stays within the bound the budget pre-check uses
-        _, cands = ep.estimate_value_candidates(table, inst.patience[inst.V[0]], 0.5)
-        assert out[3]["guesses_tried"] <= ep.guess_space_bound(0.5, len(cands))
 
 
 def test_eptas_pinned_solve_counts(monkeypatch):
@@ -307,11 +337,11 @@ def enumerate_guesses(eps, K):
 
 
 def unpruned_eptas_core(table, ell, eps):
-    # solves every guess's full bucket program, one cache per (candidate, K)
+    # solves every guess's full bucket program, one cache per (candidate, K);
+    # returns (value, order, actions, feasible guesses)
     inv = ep.grid_inverse(eps)
     _, candidates = ep.estimate_value_candidates(table, ell, eps)
     best_val, best_order, best_actions = 0.0, (), ()
-    guesses_tried = 0
     feasible = 0
     for e_val in candidates:
         step = eps * eps * e_val
@@ -321,7 +351,6 @@ def unpruned_eptas_core(table, ell, eps):
             jump = tuple(i % 2 == 1 for i in range(m))
             feas_cache = {}
             for combo in enumerate_guesses(eps, K):
-                guesses_tried += 1
                 key = tuple(sorted((bg, dg, j) for (bg, dg), j in zip(combo, jump)))
                 if key not in feas_cache:
                     plan = ep.BucketPlan(
@@ -341,8 +370,7 @@ def unpruned_eptas_core(table, ell, eps):
                 val, order, actions, _, _ = ep.reconstruct(by_bucket, table)
                 if val > best_val:
                     best_val, best_order, best_actions = val, order, actions
-    stats = {"guesses_tried": guesses_tried, "feasible_guesses": feasible}
-    return best_val, best_order, best_actions, stats
+    return best_val, best_order, best_actions, feasible
 
 
 unit = st.floats(0.0, 1.0, allow_subnormal=False)
@@ -369,7 +397,8 @@ def star_tables(draw):
 @given(star_tables())
 def test_pruned_walk_matches_unpruned(star):
     table, ell = star
-    assert ep.eptas_core(table, ell, 0.5) == unpruned_eptas_core(table, ell, 0.5)
+    value, order, actions, stats = ep.eptas_core(table, ell, 0.5)
+    assert (value, order, actions, stats["feasible_guesses"]) == unpruned_eptas_core(table, ell, 0.5)
 
 
 @st.composite

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -187,7 +188,7 @@ def test_cli_prcrs_mc(tmp_path, capsys):
     assert out_path.read_text().splitlines() == out
 
 
-def test_cli_star_eptas(tmp_path, capsys):
+def test_cli_star_eptas(tmp_path, capsys, monkeypatch):
     inst_path = str(tmp_path / "star.json")
     run_cli(["gen", "--seed", "6", "--n-u", "4", "--n-v", "1", "--n-a", "2",
              "--patience", "2", "--out", inst_path])
@@ -195,10 +196,16 @@ def test_cli_star_eptas(tmp_path, capsys):
     assert run_cli(["star-eptas", inst_path, "--eps", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert {"value", "order", "actions", "guesses_tried", "feasible_guesses"} <= set(doc)
-    # eps = 0 is a usage error; eps = 1/50 puts the guess space past the budget
+    # eps = 0 is a usage error; at eps = 1/50 the walk runs past the budget
     assert run_cli(["star-eptas", inst_path, "--eps", "0"]) == 2
     assert "error:" in capsys.readouterr().err
+    monkeypatch.setenv("QCL_BUDGET", "1000")
     assert run_cli(["star-eptas", inst_path, "--eps", "0.02"]) == 2
+    assert "budget exceeded" in capsys.readouterr().err
+    # a grid of 1e8 steps costs no more before the budget runs out
+    t0 = time.monotonic()
+    assert run_cli(["star-eptas", inst_path, "--eps", "0.0001"]) == 2
+    assert time.monotonic() - t0 < 1.0
     assert "budget exceeded" in capsys.readouterr().err
 
 
