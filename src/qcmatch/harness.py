@@ -16,10 +16,11 @@ import os
 from dataclasses import dataclass, field
 
 from . import rounding
+from .contention import selection_bound
 from .exact import BudgetExceeded, opt_dp
 from .instances import INFINITE, Instance, load_instance, random_instance, require_valid
 from .lp import solve_edge_lp, solve_lp_c_colgen, solve_lp_c_explicit
-from .numerics import BETA, ONE_MINUS_INV_E
+from .numerics import ONE_MINUS_INV_E
 from .reports import SimReport, make_report
 
 PIPELINES = ("lp-m+greedy", "lp-c+full", "lp-c+greedy", "lp-c-colgen+full")
@@ -102,7 +103,7 @@ def _load(cfg: ExperimentConfig) -> Instance:
 
 
 def guarantee_ratio(inst: Instance) -> float:
-    return ONE_MINUS_INV_E if inst.all_one_sided() else BETA
+    return min((selection_bound(inst.patience[u]) for u in inst.U), default=ONE_MINUS_INV_E)
 
 
 def default_threshold(cfg: ExperimentConfig, inst: Instance) -> float:

@@ -62,10 +62,6 @@ class Instance:
     def incident_to_v(self, v: str) -> list[Edge]:
         return [e for e in self.edges() if e[1] == v]
 
-    def all_one_sided(self) -> bool:
-        """True when every offline vertex has patience 1 or unbounded."""
-        return all(self.patience.get(u) == 1 or is_infinite(self.patience.get(u)) for u in self.U)
-
 
 def make_instance(U, V, A, q, r, patience, meta=None) -> Instance:
     return Instance(

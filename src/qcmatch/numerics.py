@@ -78,37 +78,6 @@ def attenuation_finite(s):
     return BETA / attenuation_denominator(np.clip(arr, 0.0, 1.0) if arr.ndim else min(max(float(arr), 0.0), 1.0))
 
 
-# ---------------------------------------------------------------------------
-# Quadrature
-# ---------------------------------------------------------------------------
-
-
-def adaptive_simpson(f, a: float, b: float, tol: float = 1e-10, max_depth: int = 50) -> float:
-    """Adaptive Simpson integration of a scalar function on [a, b].
-
-    The independent oracle the tests check the Gauss-Legendre integrals
-    against; nothing in the package calls it.
-    """
-    fa, fb = f(a), f(b)
-    m = 0.5 * (a + b)
-    fm = f(m)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-    def recurse(a, fa, b, fb, m, fm, whole, tol, depth):
-        lm = 0.5 * (a + m)
-        rm = 0.5 * (m + b)
-        flm, frm = f(lm), f(rm)
-        left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-        right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-        if depth >= max_depth or abs(left + right - whole) <= 15.0 * tol:
-            return left + right + (left + right - whole) / 15.0
-        return recurse(a, fa, m, fm, lm, flm, left, tol / 2.0, depth + 1) + recurse(
-            m, fm, b, fb, rm, frm, right, tol / 2.0, depth + 1
-        )
-
-    return recurse(a, fa, b, fb, m, fm, whole, tol, 0)
-
-
 def _gl_nodes(a: float, b: float, panels: int, order: int = 16):
     """Composite Gauss-Legendre nodes/weights on [a, b]."""
     x, w = np.polynomial.legendre.leggauss(order)
@@ -180,17 +149,6 @@ def midrange_availability(ell: int, x1, n1_mass):
     return float(out[0]) if scalar else out.reshape(np.broadcast(np.asarray(x1), np.asarray(n1_mass)).shape)
 
 
-def _midrange_availability_quad(ell: int, x1: float, n1_mass: float, tol: float = 1e-10) -> float:
-    """Adaptive-Simpson quadrature of the defining integral (test oracle)."""
-    B = ell - x1 - n1_mass
-    yc = (ell - 1.0) / B
-
-    def f(y):
-        return math.exp(-n1_mass * y) * poisson_cdf_below(ell, B * y)
-
-    return adaptive_simpson(f, 0.0, yc, tol=tol)
-
-
 def selection_bound_midrange(ell: int, x1):
     """Lower bound on the conditional query probability for 2 <= ell <= 119.
 
@@ -240,11 +198,6 @@ def selection_bound_bennett(x1: float) -> float:
     if not 0.0 <= x1 <= 1.0:
         raise ValueError("x1 must lie in [0, 1]")
     return float(_bennett_bound(x1))
-
-
-def beta_by_quadrature(tol: float = 1e-12) -> float:
-    """Independent evaluation of int_0^1 e^{-y} P[Poisson(2y) < 3] dy (test oracle)."""
-    return adaptive_simpson(lambda y: math.exp(-y) * poisson_cdf_below(3, 2.0 * y), 0.0, 1.0, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -423,19 +376,16 @@ def verify_final_bounds(
     if -eq < worst[0]:
         worst = (-eq, ("mid-equality", 3, 0.0))
 
-    x1_b = np.linspace(0.0, 1.0, 201)
-    bennett = _bennett_bound(x1_b)
-    margin_b = bennett - BETA
-    j = int(np.argmin(margin_b))
-    if margin_b[j] < worst[0]:
-        worst = (float(margin_b[j]), ("bennett", float(x1_b[j])))
+    ben = verify_bennett()
+    if ben.min_margin < worst[0]:
+        worst = (ben.min_margin, ("bennett", *ben.witness))
 
-    bennett_at_1 = selection_bound_bennett(1.0)
-    min_at_edge = float(np.min(bennett)) >= bennett_at_1 - 1e-9
+    bennett_at_1 = ben.extras["bennett_at_1"]
+    min_at_edge = ben.min_margin + BETA >= bennett_at_1 - 1e-9
 
     return VerifyReport(
         suite="final",
-        points_checked=int(n_grid * len(ells) + x1_b.size + 1),
+        points_checked=int(n_grid * len(ells) + ben.points_checked + 1),
         min_margin=worst[0],
         witness=worst[1],
         passed=worst[0] >= -_MARGIN_TOL and min_at_edge,
@@ -444,7 +394,7 @@ def verify_final_bounds(
 
 
 def verify_bennett(n_grid: int = 201) -> VerifyReport:
-    """Standalone Bennett sweep (same computation the final suite embeds)."""
+    """Bennett sweep over x1 in [0, 1]; the final suite reuses its report."""
     x1 = np.linspace(0.0, 1.0, n_grid)
     margin = _bennett_bound(x1) - BETA
     i = int(np.argmin(margin))

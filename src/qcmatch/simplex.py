@@ -65,12 +65,10 @@ def solve_packing_lp(c, A, b, max_iter: int = 20000) -> LpResult:
             raise Infeasible(f"singular basis: {exc}") from exc
         reduced = cost - y @ full
         # Bland: lowest-index column with positive reduced cost.
-        entering = -1
-        for j in range(n + m):
-            if j not in basis and reduced[j] > OPT_TOL:
-                entering = j
-                break
-        if entering < 0:
+        improving = reduced > OPT_TOL
+        improving[basis] = False
+        entering = int(np.argmax(improving))
+        if not improving[entering]:
             x = np.zeros(n + m)
             x[basis] = xb
             value = float(cost @ x)
@@ -85,9 +83,7 @@ def solve_packing_lp(c, A, b, max_iter: int = 20000) -> LpResult:
         best = np.min(ratios)
         # Ties: prefer the largest pivot element (stability), then the
         # lowest basis index (Bland) among near-ties.
-        tied = [i for i in range(m) if ratios[i] <= best + 1e-12]
-        tied.sort(key=lambda i: (-abs(d[i]), basis[i]))
-        leave = tied[0]
+        leave = min(np.flatnonzero(ratios <= best + 1e-12), key=lambda i: (-abs(d[i]), basis[i]))
         basis[leave] = entering
         it += 1
         if it > max_iter:
@@ -101,16 +97,13 @@ def check_kkt(c, A, b, res: LpResult, tol: float = 1e-7) -> dict:
     b = np.asarray(b, dtype=float)
     slack = b - A @ res.x
     reduced = c - A.T @ res.duals
+    primal_violation = float(max(0.0, -res.x.min(initial=0.0), -slack.min(initial=0.0)))
+    dual_violation = float(max(0.0, -res.duals.min(initial=0.0), reduced.max(initial=0.0)))
+    duality_gap = float(abs(c @ res.x - b @ res.duals))
     return {
-        "primal_violation": float(max(0.0, -res.x.min(initial=0.0), -slack.min(initial=0.0))),
-        "dual_violation": float(max(0.0, -res.duals.min(initial=0.0), reduced.max(initial=0.0))),
-        "comp_slackness": float(
-            abs(res.duals @ slack) + abs(reduced @ res.x)
-        ),
-        "duality_gap": float(abs(c @ res.x - b @ res.duals)),
-        "ok": bool(
-            res.x.min(initial=0.0) >= -1e-9
-            and slack.min(initial=0.0) >= -1e-9
-            and abs(c @ res.x - b @ res.duals) <= tol
-        ),
+        "primal_violation": primal_violation,
+        "dual_violation": dual_violation,
+        "comp_slackness": float(abs(res.duals @ slack) + abs(reduced @ res.x)),
+        "duality_gap": duality_gap,
+        "ok": primal_violation <= 1e-9 and dual_violation <= tol and duality_gap <= tol,
     }

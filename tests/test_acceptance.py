@@ -24,6 +24,7 @@ from qcmatch import eptas as ep
 from qcmatch import numerics as nm
 from qcmatch import rounding as rd
 from qcmatch.exact import opt_dp, star_opt_bruteforce
+from qcmatch.harness import guarantee_ratio
 from qcmatch.instances import INFINITE, make_instance, random_instance
 from qcmatch.lp import (
     check_marginal_feasibility,
@@ -195,7 +196,7 @@ def test_criterion_7_end_to_end():
         rewards, _ = rd.simulate(sol, inst, "full", trials, seed=seed)
         mean = rewards.mean()
         sigma = rewards.std(ddof=1) / math.sqrt(trials)
-        bound = OMIE if inst.all_one_sided() else BETA
+        bound = guarantee_ratio(inst)
         slack = mean - (bound * sol.objective - 4 * sigma)
         worst = min(worst, slack)
         assert slack >= 0.0, (seed, mean, bound * sol.objective)

@@ -3,6 +3,7 @@ import math
 import pytest
 
 from qcmatch import instances as inst_mod
+from qcmatch.harness import guarantee_ratio
 from qcmatch.instances import (
     INFINITE,
     PricingSpec,
@@ -15,6 +16,7 @@ from qcmatch.instances import (
     serialize,
     validate_instance,
 )
+from qcmatch.numerics import BETA, ONE_MINUS_INV_E
 
 
 def one_edge(q=0.5, r=2.0, lu=1, lv=1):
@@ -191,14 +193,14 @@ def test_reduction_outputs_always_validate():
 
 def test_infinite_patience_case_split_exact():
     inst = one_edge(lu=1, lv=2)
-    assert inst.all_one_sided()
+    assert guarantee_ratio(inst) == ONE_MINUS_INV_E
     inst2 = make_instance(
         ["u0"], ["v0"], ["a0"],
         {(("u0", "v0"), "a0"): 0.5},
         {(("u0", "v0"), "a0"): 1.0},
         {"u0": 2, "v0": 1},
     )
-    assert not inst2.all_one_sided()
+    assert guarantee_ratio(inst2) == BETA
     inst3 = one_edge(lu=INFINITE)
-    assert inst3.all_one_sided()
+    assert guarantee_ratio(inst3) == ONE_MINUS_INV_E
     assert math.isinf(inst3.patience["u0"])

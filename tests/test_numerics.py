@@ -1,16 +1,29 @@
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
 from qcmatch import numerics as nm
 
 
+def _poisson_below_mp(k, z):
+    # P[Poisson(z) < k] = Gamma(k, z) / Gamma(k), the regularized upper gamma
+    return mp.gammainc(k, z, mp.inf, regularized=True)
+
+
+def _availability_mp(ell, x1, m):
+    # the defining integral of nm.midrange_availability, by mpmath quadrature
+    b = ell - x1 - m
+    return mp.quad(lambda y: mp.exp(-m * y) * _poisson_below_mp(ell, b * y), [0, (ell - 1) / b])
+
+
 def test_guarantee_constants():
     assert abs(nm.BETA - (19 - 67 * math.exp(-3)) / 27) == 0.0
     assert abs(nm.ONE_MINUS_INV_E - (1 - 1 / math.e)) == 0.0
     # three independent routes to the same constant
-    assert abs(nm.beta_by_quadrature() - nm.BETA) <= 1e-9
+    beta = mp.quad(lambda y: mp.exp(-y) * _poisson_below_mp(3, 2 * y), [0, 1])
+    assert abs(float(beta) - nm.BETA) <= 1e-9
     assert abs(nm.selection_bound_midrange(3, 0.0) - nm.BETA) <= 1e-9
 
 
@@ -51,28 +64,20 @@ def test_poisson_cdf_below_upper_gamma_values():
 
 
 def test_poisson_cdf_below_upper_gamma_vs_quadrature():
-    # Gamma(s, z) = Gamma(s) - int_0^z t^{s-1} e^-t dt
+    # Gamma(s, z) = int_z^inf t^{s-1} e^-t dt, by mpmath
     rng = np.random.default_rng(7)
     for _ in range(100):
         s = int(rng.integers(1, 8))
         z = float(rng.uniform(0.0, 12.0))
-        lower = nm.adaptive_simpson(lambda t: t ** (s - 1) * math.exp(-t), 0.0, z, tol=1e-12)
-        ref = math.factorial(s - 1) - lower
+        ref = float(mp.gammainc(s, z))
         assert abs(_upper_gamma(s, z) - ref) <= 1e-8 * max(1.0, abs(ref)) + 1e-10
-
-
-def test_adaptive_simpson_polynomials_and_exp():
-    assert abs(nm.adaptive_simpson(lambda y: y**3, 0, 2, tol=1e-12) - 4.0) <= 1e-10
-    assert abs(nm.adaptive_simpson(math.exp, 0, 1, tol=1e-12) - (math.e - 1)) <= 1e-10
 
 
 def test_attenuation_denominator_matches_quadrature():
     rng = np.random.default_rng(11)
     for s in rng.uniform(0.0, 1.0, 100):
-        quad = nm.adaptive_simpson(
-            lambda y: math.exp(-y * (1 - s)) * nm.poisson_cdf_below(3, 2 * y), 0.0, 1.0, tol=1e-12
-        )
-        assert abs(nm.attenuation_denominator(float(s)) - quad) <= 1e-8
+        quad = mp.quad(lambda y: mp.exp(-y * (1 - s)) * _poisson_below_mp(3, 2 * y), [0, 1])
+        assert abs(nm.attenuation_denominator(float(s)) - float(quad)) <= 1e-8
 
 
 def test_midrange_availability_anchor_and_quadrature():
@@ -87,7 +92,7 @@ def test_midrange_availability_anchor_and_quadrature():
         if x1 + m > 1:
             continue
         closed = nm.midrange_availability(ell, x1, m)
-        quad = nm._midrange_availability_quad(ell, x1, m, tol=1e-11)
+        quad = float(_availability_mp(ell, x1, m))
         assert abs(closed - quad) <= 1e-8, (ell, x1, m)
         checked += 1
     # below the closed form's threshold the integral is taken by quadrature,
@@ -97,7 +102,7 @@ def test_midrange_availability_anchor_and_quadrature():
     for ell in (3, 4, 5, 10, 50, 119):
         vals = nm.midrange_availability(ell, x1s, ms)
         for x1, m, v in zip(x1s, ms, vals):
-            quad = nm._midrange_availability_quad(ell, float(x1), float(m), tol=1e-11)
+            quad = float(_availability_mp(ell, float(x1), float(m)))
             assert abs(v - quad) <= 1e-10, (ell, x1, m)
 
 
@@ -170,8 +175,8 @@ def test_midrange_monotonicity_finding():
     assert rep3.witness[0] == 3
     # counterexample point, independently via the defining integral
     x1 = 0.8
-    lhs = nm._midrange_availability_quad(3, x1, 1e-9)
-    rhs = nm._midrange_availability_quad(3, x1, 1 - x1)
+    lhs = _availability_mp(3, x1, 1e-9)
+    rhs = _availability_mp(3, x1, 1 - x1)
     assert lhs < rhs - 1e-3
 
 
@@ -186,15 +191,6 @@ def test_mpmath_references():
     # Independent 25-digit references for the acceptance anchors: beta, the
     # Bennett bound at x1 = 1, and the patience-3 mass-monotonicity margin at
     # the suite's witness on the zero-mass edge.
-    mp = pytest.importorskip("mpmath")
-
-    def availability(ell, x1, m):
-        b = ell - x1 - m
-        return mp.quad(
-            lambda y: mp.exp(-(m + b) * y) * sum((b * y) ** k / mp.factorial(k) for k in range(ell)),
-            [0, (ell - 1) / b],
-        )
-
     with mp.workdps(25):
         beta = (19 - 67 * mp.exp(-3)) / 27
         assert abs(nm.BETA - float(beta)) <= 1e-15
@@ -206,5 +202,5 @@ def test_mpmath_references():
         rep = nm.verify_midrange_monotonicity(ells=(3,))
         ell, x1, m = rep.witness
         x1 = mp.mpf(x1)
-        margin = availability(ell, x1, mp.mpf(m)) - availability(ell, x1, 1 - x1)
+        margin = _availability_mp(ell, x1, mp.mpf(m)) - _availability_mp(ell, x1, 1 - x1)
         assert abs(rep.min_margin - float(margin)) <= 1e-10

@@ -6,9 +6,10 @@ import numpy as np
 from qcmatch import contention as ct
 from qcmatch import rounding as rd
 from qcmatch.exact import opt_dp
+from qcmatch.harness import guarantee_ratio
 from qcmatch.instances import INFINITE, make_instance, random_instance
 from qcmatch.lp import solve_edge_lp, solve_lp_c_colgen, solve_lp_c_explicit
-from qcmatch.numerics import BETA, ONE_MINUS_INV_E
+from qcmatch.numerics import ONE_MINUS_INV_E
 
 
 def single_edge_instance(q=1.0, r=1.0, lu=INFINITE, lv=1):
@@ -86,7 +87,7 @@ def test_full_round_guarantee_and_validity():
         trials = 60_000
         rewards, _ = rd.simulate(sol, inst, "full", trials, seed=seed)
         se = rewards.std(ddof=1) / math.sqrt(trials)
-        bound = ONE_MINUS_INV_E if inst.all_one_sided() else BETA
+        bound = guarantee_ratio(inst)
         assert rewards.mean() >= bound * sol.objective - 4 * se, (seed, rewards.mean())
         opt = opt_dp(inst).value
         assert rewards.mean() <= opt + 4 * se + 1e-9

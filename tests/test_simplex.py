@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qcmatch.simplex import Infeasible, Unbounded, check_kkt, solve_packing_lp
+from qcmatch.simplex import Infeasible, LpResult, Unbounded, check_kkt, solve_packing_lp
 
 
 def brute_force_lp(c, A, b):
@@ -73,6 +73,15 @@ def test_duals_and_kkt_simple():
     assert kkt["duality_gap"] <= 1e-7
     assert kkt["comp_slackness"] <= 1e-7
     assert np.all(res.duals >= -1e-9)
+
+
+def test_kkt_rejects_negative_duals():
+    # primal optimal, no duality gap, complementary: only y >= 0 fails
+    c, A, b = [1.0], [[1.0], [1.0]], [1.0, 1.0]
+    res = LpResult(x=np.array([1.0]), value=1.0, duals=np.array([2.0, -1.0]), iterations=0)
+    kkt = check_kkt(c, A, b, res)
+    assert kkt["dual_violation"] == 1.0
+    assert not kkt["ok"], kkt
 
 
 def test_against_vertex_enumeration_oracle():
