@@ -70,7 +70,8 @@ def cmd_gen(args):
 def cmd_opt(args):
     inst = require_valid(load_instance(args.instance))
     res = opt_dp(inst)
-    _emit({"value": res.value, "states_expanded": res.states_expanded}, args.out)
+    doc = {"value": res.value, "states_expanded": res.states_expanded, "layer_sizes": list(res.layer_sizes)}
+    _emit(doc, args.out)
     return 0
 
 

@@ -25,6 +25,10 @@ class Unbounded(Exception):
     pass
 
 
+class IterationLimit(Exception):
+    pass
+
+
 @dataclass
 class LpResult:
     x: np.ndarray
@@ -87,7 +91,7 @@ def solve_packing_lp(c, A, b, max_iter: int = 20000) -> LpResult:
         basis[leave] = entering
         it += 1
         if it > max_iter:
-            raise Infeasible(f"iteration limit {max_iter} hit; LP likely degenerate beyond tolerance")
+            raise IterationLimit(f"iteration limit {max_iter} hit; LP likely degenerate beyond tolerance")
 
 
 def check_kkt(c, A, b, res: LpResult, tol: float = 1e-7) -> dict:

@@ -110,6 +110,101 @@ def matched_mask_dp(inst):
     return OptDpResult(value=solve(full, 0, 0), states_expanded=len(memo))
 
 
+def recursive_dp(inst):
+    """Independent oracle: the canonical-key DP as a recursion over a dict
+    memo, as `opt_dp` was before it walked its keys in layers, without
+    its budget. The keys are those of `opt_dp` (live edges, and above them
+    one field per binding vertex), so `states_expanded` must match too."""
+    edges = inst.edges()
+    n_e = len(edges)
+    pat = inst.patience
+    acts = [[(inst.q[(e, a)], inst.r_of(e, a)) for a in inst.A if (e, a) in inst.q] for e in edges]
+    inc = dict.fromkeys((*inst.U, *inst.V), 0)  # vertex -> mask of its edges
+    for i, (u, v) in enumerate(edges):
+        inc[u] |= 1 << i
+        inc[v] |= 1 << i
+    key = sum(1 << i for i, (u, v) in enumerate(edges) if acts[i] and pat[u] >= 1 and pat[v] >= 1)
+    field = {}  # binding vertex -> (offset, mask) of its field in the key
+    offset = n_e
+    for s, m in inc.items():
+        if pat[s] < (m & key).bit_count():
+            width = int(pat[s] - 1).bit_length()  # none at patience 1
+            field[s] = (offset, (1 << width) - 1)
+            key |= (pat[s] - 1) << offset
+            offset += width
+
+    # per vertex s, per neighbour w with field bits: the bit of edge (s, w),
+    # w's field and w's edges; when s's edges go, w loses that one edge
+    near = {s: () for s in inc}
+    for i, (u, v) in enumerate(edges):
+        for s, w in ((u, v), (v, u)):
+            if w in field and field[w][1]:
+                near[s] += ((1 << i, *field[w], inc[w]),)
+
+    # per edge: its binding endpoints (a failure costs each a unit of
+    # patience or, at its last unit, its edges); on success, the edges and
+    # fields of both endpoints and their neighbours; the actions of q > 0
+    # as (q, r, 1 - q); whether one has q = 0
+    per_edge = []
+    for i, (u, v) in enumerate(edges):
+        ends, succ_kill = (), inc[u] | inc[v]
+        for s in (u, v):
+            if s in field:
+                o, m = field[s]
+                ends += ((o, m, inc[s], near[s]),)
+                succ_kill |= m << o
+        pos = [(q, r, 1.0 - q) for q, r in acts[i] if q > 0.0]
+        per_edge.append((ends, succ_kill, near[u] + near[v], pos, len(pos) < len(acts[i])))
+
+    full = (1 << n_e) - 1
+    memo = {}
+
+    def lose(key, child, nbrs):
+        # a neighbour that lost a live edge caps its field again
+        for b, o, m, w_inc in nbrs:
+            if key & b and (child >> o) & m >= (child & w_inc).bit_count() > 0:
+                child -= 1 << o
+        return child
+
+    def solve(key):
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        best = 0.0
+        live = key & full
+        while live:
+            bit = live & -live  # live edges in index order
+            live ^= bit
+            ends, succ_kill, succ_nbrs, pos, zero = per_edge[bit.bit_length() - 1]
+            child = key ^ bit
+            if ends:
+                kill, nbrs = 0, ()
+                for o, m, s_inc, s_nbrs in ends:
+                    if (key >> o) & m:
+                        child -= 1 << o
+                    else:  # the last unit of patience
+                        kill |= s_inc
+                        nbrs += s_nbrs
+                if kill:
+                    child = lose(child, child & ~kill, nbrs)
+            fail_val = solve(child)
+            if zero and fail_val > best:
+                best = fail_val
+            if pos:
+                child = key & ~succ_kill
+                if succ_nbrs:
+                    child = lose(key, child, succ_nbrs)
+                succ_val = solve(child)
+                for q, r, p in pos:
+                    val = q * (r + succ_val) + p * fail_val
+                    if val > best:
+                        best = val
+        memo[key] = best
+        return best
+
+    return OptDpResult(value=solve(key), states_expanded=len(memo))
+
+
 def test_single_edge_value():
     inst = make_instance(
         ["u"], ["v"], ["a"],
@@ -334,14 +429,60 @@ def test_opt_dp_canonical_state_counts():
     assert exc.value.estimate == 2.0**18
 
 
+def test_layer_sizes_count_states_per_live_edge_count():
+    for (seed, n_u, n_v, n_a, pats), _, states in OPT_DP_PINS:
+        res = opt_dp(random_instance(seed, n_u, n_v, n_a, patience_range=pats))
+        assert sum(res.layer_sizes) == res.states_expanded == states, seed
+        assert res.layer_sizes[-1] == 1  # the start alone has every live edge
+    # no vertex binds on a star with unbounded patience: every subset of
+    # the 4 edges is a state
+    res = opt_dp(random_instance(10, 4, 1, 3, patience_range=(INFINITE,)))
+    assert res.layer_sizes == (1, 4, 6, 4, 1)
+    assert res == OptDpResult(value=res.value, states_expanded=16)  # layer_sizes is not compared
+
+
+# random_instance(1, n, n, 2, (1,)) -> (value, states_expanded), recorded
+# with the recursive DP: 8x8 fills one 64-bit word of live edges, 9x9 and
+# 10x10 need a second
+WIDE_PINS = [(8, 5.174494531112319, 12870), (9, 6.171716260365902, 48620), (10, 7.105254690136664, 184756)]
+
+
+def test_opt_dp_keys_wider_than_64_bits():
+    for n, value, states in WIDE_PINS:
+        res = opt_dp(random_instance(1, n, n, 2, patience_range=(1,)), state_budget=500_000)
+        assert (res.value, res.states_expanded) == (value, states), n
+        assert sum(res.layer_sizes) == states
+
+
+def test_dense_low_patience_refused_promptly():
+    # failures alone reach only 2^n states on these, so the floor lets them
+    # through; the forward pass charges the budget as its layers grow, so
+    # neither time nor memory grows with the states it never reaches
+    for n, patience in ((6, 2), (5, 3), (8, 2)):
+        inst = random_instance(1, n, n, 2, patience_range=(patience,))
+        tracemalloc.start()
+        start = time.perf_counter()
+        try:
+            with pytest.raises(BudgetExceeded) as exc:
+                opt_dp(inst, state_budget=500_000)
+            elapsed = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (str(exc.value), exc.value.estimate) == ("state budget exhausted", 500000.0)
+        assert elapsed < 10.0, (n, patience, elapsed)
+        assert peak < 100e6, (n, patience, peak)
+
+
 # ---------------------------------------------------------------------------
-# The DP against the matched-mask oracle, on tied grids
+# The DP against the matched-mask and recursive oracles, on tied grids
 # ---------------------------------------------------------------------------
 
 
 @st.composite
-def tied_graphs(draw):
-    n_u, n_v, n_a = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+def tied_graphs(draw, max_side=3):
+    n_u, n_v = draw(st.integers(1, max_side)), draw(st.integers(1, max_side))
+    n_a = draw(st.integers(1, 2))
     U, V, A = [f"u{i}" for i in range(n_u)], [f"v{j}" for j in range(n_v)], [f"a{k}" for k in range(n_a)]
     q, r = {}, {}
     for e in ((u, v) for u in U for v in V):
@@ -360,6 +501,15 @@ def test_opt_dp_matches_matched_mask_oracle(inst):
     assert res.value == matched_mask_dp(inst).value
     # the failure-set floor never refuses a budget the states fit in
     assert opt_dp(inst, state_budget=res.states_expanded) == res
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(tied_graphs(max_side=4))
+def test_opt_dp_matches_recursive_oracle(inst):
+    res = opt_dp(inst)
+    ref = recursive_dp(inst)
+    assert (res.value, res.states_expanded) == (ref.value, ref.states_expanded)
+    assert sum(res.layer_sizes) == res.states_expanded
 
 
 # ---------------------------------------------------------------------------

@@ -145,6 +145,16 @@ def test_cli_gen_opt_roundtrip(tmp_path, capsys):
     assert "value" in doc and "states_expanded" in doc
 
 
+def test_cli_opt_emits_layer_sizes(tmp_path, capsys):
+    inst_path = str(tmp_path / "i.json")
+    assert run_cli(["gen", "--seed", "3", "--n-u", "3", "--n-v", "2", "--patience", "1,2,inf",
+                    "--out", inst_path]) == 0
+    capsys.readouterr()
+    assert run_cli(["opt", inst_path]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert sum(doc["layer_sizes"]) == doc["states_expanded"] > 1
+
+
 def test_cli_lp_commands(tmp_path, capsys):
     inst_path = str(tmp_path / "i.json")
     run_cli(["gen", "--seed", "4", "--out", inst_path])

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from qcmatch.simplex import Infeasible, LpResult, Unbounded, check_kkt, solve_packing_lp
+from qcmatch.simplex import Infeasible, IterationLimit, LpResult, Unbounded, check_kkt, solve_packing_lp
 
 
 def brute_force_lp(c, A, b):
@@ -55,6 +55,15 @@ def test_zero_variables_and_zero_objective():
 def test_negative_rhs_rejected():
     with pytest.raises(Infeasible):
         solve_packing_lp([1.0], [[1.0]], [-1.0])
+
+
+def test_iteration_limit_is_its_own_error():
+    # max x + y s.t. x + y <= 1, x <= 0.3 needs pivots off the slack basis
+    args = ([1.0, 1.0], [[1.0, 1.0], [1.0, 0.0]], [1.0, 0.3])
+    assert solve_packing_lp(*args).iterations > 0
+    with pytest.raises(IterationLimit, match="iteration limit 0") as exc:
+        solve_packing_lp(*args, max_iter=0)
+    assert not isinstance(exc.value, Infeasible)
 
 
 def test_unbounded_detected():
