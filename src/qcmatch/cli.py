@@ -1,8 +1,9 @@
 """Command-line interface.
 
-Exit codes: 0 success, 1 acceptance/threshold failure, 2 usage or config
-error. The QCL_BUDGET environment variable overrides every enumeration
-budget (DP states, star plan states, plans, EPTAS guesses tried).
+Exit codes: 0 success, 1 acceptance/threshold failure, 2 usage, config,
+budget or iteration-limit error. The QCL_BUDGET environment variable
+overrides every enumeration budget (DP states, star plan states, plans,
+EPTAS guesses tried).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .instances import (
 )
 from .lp import solve_edge_lp, solve_lp_c_colgen, solve_lp_c_explicit
 from .numerics import run_verification
+from .simplex import IterationLimit
 
 
 def _emit(doc, out=None):
@@ -257,7 +259,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (harness.ConfigError, ValueError, FileNotFoundError) as exc:
+    except (harness.ConfigError, ValueError, FileNotFoundError, IterationLimit) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except BudgetExceeded as exc:

@@ -18,7 +18,7 @@ import numpy as np
 from .instances import is_infinite
 from .numerics import BETA, ONE_MINUS_INV_E, attenuation_finite
 from .reports import std_error, wilson_halfwidth
-from .rng import stream_rng
+from .rng import chunks, stream_rng
 
 
 def attenuation_infinite(s):
@@ -86,7 +86,7 @@ def validate_input(inp: ContentionInput) -> list:
         out.append("state probabilities out of [0, 1]")
     if np.any(inp.x < -tol) or np.any(inp.x > 1 + tol):
         out.append("suggestion probabilities out of [0, 1]")
-    if not is_infinite(inp.patience) and inp.x.sum() > float(inp.patience) + tol:
+    if inp.x.sum() > float(inp.patience) + tol:
         out.append(f"total suggestion mass {inp.x.sum()} exceeds patience")
     if (inp.p * inp.x).sum() > 1 + tol:
         out.append(f"total state-weighted mass {(inp.p * inp.x).sum()} exceeds 1")
@@ -187,17 +187,11 @@ def estimate_selectability(inp: ContentionInput, trials: int, seed: int) -> list
     n, n_a = inp.n, len(inp.actions)
     bprob = attenuation_probs(inp)
     x_cum = np.cumsum(inp.x, axis=1)  # suggestion thresholds per element
-    finite = not is_infinite(inp.patience)
-    ell = int(inp.patience) if finite else 0
 
     cond = np.zeros((n, n_a), dtype=np.int64)
     hits = np.zeros((n, n_a), dtype=np.int64)
 
-    chunk = 8192
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        c = min(chunk, trials - done)
+    for chunk_idx, _, c in chunks(trials):
         rng = stream_rng(seed, "prcrs-mc", chunk_idx)
         u_sug = rng.uniform(0.0, 1.0, (c, n))
         ykey = rng.uniform(0.0, 1.0, (c, n))
@@ -221,7 +215,7 @@ def estimate_selectability(inp: ContentionInput, trials: int, seed: int) -> list
         # lockstep over arrival rank; ties keep element order
         order = np.argsort(np.where(sug_mask, ykey, np.inf), axis=1, kind="stable")
         n_sug = sug_mask.sum(axis=1)
-        budget = np.full(c, ell)
+        budget = np.full(c, inp.patience, dtype=float)
         out = np.zeros(c, dtype=bool)
         t = np.arange(c)
         for rank in range(int(n_sug.max(initial=0))):
@@ -229,15 +223,11 @@ def estimate_selectability(inp: ContentionInput, trials: int, seed: int) -> list
             i = order[t, rank]
             a = act[t, i]
             cond += np.bincount(i * n_a + a, minlength=n * n_a).reshape(n, n_a)
-            query = ~out[t] & b_bits[t, i]
-            if finite:
-                query &= budget[t] > 0
+            query = ~out[t] & b_bits[t, i] & (budget[t] > 0)
             tq, iq, aq = t[query], i[query], a[query]
             hits += np.bincount(iq * n_a + aq, minlength=n * n_a).reshape(n, n_a)
             budget[tq] -= 1
             out[tq] = u_p[tq, iq] < inp.p[iq, aq]
-        done += c
-        chunk_idx += 1
 
     bound = selection_bound(inp.patience)
     rows_out = []

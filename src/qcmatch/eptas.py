@@ -76,8 +76,7 @@ def check_assignment(by_bucket: tuple, plan: BucketPlan, loads, ell) -> list:
     used = [e for bucket in by_bucket for e in bucket]
     if len(used) != len(set(used)):
         out.append("edge assigned to two buckets")
-    cap = np.inf if is_infinite(ell) else int(ell)
-    if len(used) > cap:
+    if len(used) > ell:
         out.append("global budget exceeded")
     for i, bucket in enumerate(by_bucket):
         if plan.jump_flags[i] and len(bucket) > 1:
@@ -149,7 +148,7 @@ def solve_bucket_ip(plan: BucketPlan, loads, ell) -> tuple | None:
     n = len(loads[0])
     caps = [1 if jump else n for jump in plan.jump_flags]
     order = sorted(range(len(needs)), key=lambda i: -needs[i])
-    budget = n if is_infinite(ell) else min(int(ell), n)
+    budget = min(ell, n)
 
     def feasible_tail(k, avail, budget_left):
         # cheap veto: every remaining bucket must be coverable in isolation

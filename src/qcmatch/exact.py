@@ -13,7 +13,7 @@ from itertools import accumulate, chain
 
 import numpy as np
 
-from .instances import Instance, is_infinite
+from .instances import Instance
 
 DEFAULT_STATE_BUDGET = int(2e7)
 # kept star plan states: about 1e5 of them take some 50 MB
@@ -391,7 +391,7 @@ def star_opt_core(action_table, ell, state_budget: int | None = None):
         (r, i, a, q) for i, acts in enumerate(action_table) for a, q, r in acts if q > 0.0 and r > 0.0
     )
     last = {i: j for j, (_, i, _, _) in enumerate(pairs)}  # each edge's last scan position
-    bounded = not is_infinite(ell) and int(ell) < len(last)
+    bounded = ell < len(last)
 
     def keep(states, key, state):  # state: (value, positions, plan as nested (i, a, rest))
         old = states.get(key)

@@ -260,9 +260,7 @@ def run_suite(manifest, out_path: str | None = None, workers: int = 1, id_filter
     rows.sort(key=lambda r: r["id"])
     if out_path:
         with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=SUITE_COLUMNS)
-            writer.writeheader()
-            writer.writerows(rows)
+            fh.write(suite_table(rows))
     return rows, all(r["passed"] for r in rows)
 
 

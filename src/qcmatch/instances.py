@@ -25,7 +25,7 @@ def is_infinite(patience) -> bool:
     return patience == INFINITE
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Instance:
     U: tuple[str, ...]
     V: tuple[str, ...]
@@ -33,19 +33,7 @@ class Instance:
     q: dict  # (edge, action) -> success probability
     r: dict  # (edge, action) -> reward
     patience: dict  # vertex -> int >= 0 or INFINITE
-    meta: dict = field(default_factory=dict)
-
-    def __eq__(self, other):
-        if not isinstance(other, Instance):
-            return NotImplemented
-        return (
-            self.U == other.U
-            and self.V == other.V
-            and self.A == other.A
-            and self.q == other.q
-            and self.r == other.r
-            and self.patience == other.patience
-        )
+    meta: dict = field(default_factory=dict, compare=False)
 
     def edges(self) -> list[Edge]:
         seen = dict.fromkeys(e for e, _ in self.q)

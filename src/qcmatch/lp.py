@@ -23,17 +23,12 @@ from .exact import (
     star_opt_core,
 )
 from .instances import Instance, is_infinite
+from .simplex import IterationLimit
 
 DEFAULT_CONFIG_BUDGET = int(1e5)
 _WEIGHT_EPS = 1e-12
 # margin by which a priced plan must beat its vertex's dual to enter the master
 _PRICING_TOL = 1e-9
-
-
-class IterationLimit(Exception):
-    def __init__(self, message, columns):
-        super().__init__(message)
-        self.columns = columns
 
 
 @dataclass(frozen=True)
@@ -137,7 +132,7 @@ def solve_edge_lp(inst: Instance) -> EdgeLpResult:
 def config_count(deg: int, ell, n_actions: int) -> float:
     """Number of ordered plans over `deg` edges: distinct edges, at most
     `ell` of them, one of `n_actions` actions per position."""
-    kmax = deg if is_infinite(ell) else min(int(ell), deg)
+    kmax = min(ell, deg)
     total = 0.0
     perms = 1.0
     for k in range(1, kmax + 1):
@@ -156,7 +151,7 @@ def enumerate_configs(inst: Instance, v: str, config_budget: int | None = None) 
     est = config_count(len(edges), ell, max(1, len(inst.A)))
     if est > budget:
         raise BudgetExceeded(f"{est:.3g} plans at {v} exceed budget {budget}", estimate=est)
-    kmax = len(edges) if is_infinite(ell) else min(int(ell), len(edges))
+    kmax = min(ell, len(edges))
     out = []
     for k in range(1, kmax + 1):
         for order in permutations(edges, k):
@@ -196,7 +191,7 @@ def check_marginal_feasibility(marginals: dict, inst: Instance, tol: float = 1e-
             out.append(f"edge[{e}]: action mass {mass}")
     for s in list(inst.U) + list(inst.V):
         mass = sum(z for (e, _), z in marginals.items() if s in e)
-        if not is_infinite(inst.patience[s]) and mass > inst.patience[s] + tol:
+        if mass > inst.patience[s] + tol:
             out.append(f"queries[{s}]: {mass}")
         qmass = sum(inst.q_of(e, a) * z for (e, a), z in marginals.items() if s in e)
         if qmass > 1.0 + tol:
@@ -371,7 +366,7 @@ def solve_lp_c_colgen(
                 if key in seen:
                     continue
                 if len(configs) >= iteration_limit:
-                    raise IterationLimit(f"column limit {iteration_limit} reached", len(configs))
+                    raise IterationLimit(f"column limit {iteration_limit} reached")
                 seen.add(key)
                 configs.append(cfg)
                 improved = True

@@ -11,17 +11,14 @@ baseline is the full policy with the attenuation forced to 1.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import contention as ct
-from .instances import Instance, is_infinite
+from .instances import Instance
 from .lp import LpSolution
-from .rng import stream_rng
-
-_BIG = 1 << 30
+from .rng import chunks, stream_rng
 
 
 @dataclass
@@ -57,7 +54,10 @@ class _Compiled:
     the longest plan and `plan_len` says how many are real.
     """
 
-    def __init__(self, inst: Instance, sol: LpSolution, scheme: str):
+    def __init__(self, inst: Instance, sol: LpSolution, policy: str):
+        if policy not in ("full", "greedy", "relaxed"):
+            raise ValueError(f"unknown policy {policy!r}")
+        self.policy = policy
         self.v_list = list(inst.V)
         self.u_list = list(inst.U)
         self.u_index = {u: i for i, u in enumerate(self.u_list)}
@@ -75,9 +75,8 @@ class _Compiled:
         per_v = []
         for v in self.v_list:
             cfgs = [(cfg, w) for cfg, w in sol.weights.items() if cfg.v == v and w > 0]
-            ell_v = inst.patience[v]
             for cfg, _ in cfgs:
-                if not is_infinite(ell_v) and len(cfg) > int(ell_v):
+                if len(cfg) > inst.patience[v]:
                     raise ValueError(f"plan at {v} longer than patience")
             if sum(w for _, w in cfgs) > 1.0 + 1e-9:
                 raise ValueError(f"plan weights at {v} exceed 1")
@@ -109,18 +108,16 @@ class _Compiled:
         # read by the full policy only; patience 0 never queries
         self.rem_init = _budgets(inst, self.u_list)
         self.b_mat = np.ones((len(self.u_list), len(self.v_list)))
-        if scheme in ("full", "greedy"):
+        if policy in ("full", "greedy"):
             inputs = scheme_inputs(inst, sol)  # validates the marginals
-            if scheme == "full":
+            if policy == "full":
                 for u, inp in inputs.items():
                     self.b_mat[self.u_index[u]] = ct.attenuation_probs(inp)
 
 
 def _budgets(inst: Instance, vertices) -> np.ndarray:
-    """Query budgets of `vertices`, with unbounded patience as _BIG."""
-    return np.array(
-        [_BIG if is_infinite(inst.patience[s]) else int(inst.patience[s]) for s in vertices], dtype=np.int64
-    )
+    """Query budgets of `vertices`, with unbounded patience as inf."""
+    return np.array([inst.patience[s] for s in vertices], dtype=float)
 
 
 def scheme_inputs(inst: Instance, sol: LpSolution) -> dict:
@@ -136,11 +133,11 @@ def scheme_inputs(inst: Instance, sol: LpSolution) -> dict:
             continue
         p = [[inst.q_of((u, v), a) for a in inst.A] for v in inst.V]
         x = [[sol.marginals.get(((u, v), a), 0.0) for a in inst.A] for v in inst.V]
-        out[u] = ct.make_input(tuple(inst.A), ell if is_infinite(ell) else int(ell), p, x)
+        out[u] = ct.make_input(tuple(inst.A), ell, p, x)
     return out
 
 
-def _chunk_draws(comp: _Compiled, seed: int, chunk_idx: int, count: int, mode: str):
+def _chunk_draws(comp: _Compiled, seed: int, chunk_idx: int, count: int):
     n_v = len(comp.v_list)
     n_e, n_a = comp.q_mat.shape
     perm_rng = stream_rng(seed, "permutation", chunk_idx)
@@ -154,16 +151,16 @@ def _chunk_draws(comp: _Compiled, seed: int, chunk_idx: int, count: int, mode: s
     # attenuation bits are all 1. Streams are keyed by name, so skipping
     # one leaves the others' draws as they are.
     qt_bits = b_bits = None
-    if mode != "relaxed":
+    if comp.policy != "relaxed":
         qt_rng = stream_rng(seed, "qtilde-bits", chunk_idx)
         qt_bits = qt_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
-    if mode == "full":
+    if comp.policy == "full":
         b_rng = stream_rng(seed, "attenuation-bits", chunk_idx)
         b_bits = b_rng.uniform(size=(count, len(comp.u_list), n_v)) < comp.b_mat[None]
     return perms, u_cfg, q_bits, qt_bits, b_bits
 
 
-def _walk_chunk(comp: _Compiled, draws, mode: str, sug=None, log=None) -> np.ndarray:
+def _walk_chunk(comp: _Compiled, draws, sug=None, log=None) -> np.ndarray:
     """Every trial of a chunk of the selected policy, stepped in lockstep
     over arrival rank x plan position; returns the rewards.
 
@@ -174,7 +171,7 @@ def _walk_chunk(comp: _Compiled, draws, mode: str, sug=None, log=None) -> np.nda
     perms, u_cfg, q_bits, qt_bits, b_bits = draws
     c = perms.shape[0]
     n_a = comp.q_mat.shape[1]
-    relaxed = mode == "relaxed"
+    relaxed = comp.policy == "relaxed"
     reward = np.zeros(c)
     rem = np.tile(comp.rem_init, (c, 1))
     u_matched = np.zeros((c, len(comp.u_list)), dtype=bool)
@@ -220,12 +217,6 @@ def _walk_chunk(comp: _Compiled, draws, mode: str, sug=None, log=None) -> np.nda
     return reward
 
 
-def _mode_of(policy: str) -> str:
-    if policy not in ("full", "greedy", "relaxed"):
-        raise ValueError(f"unknown policy {policy!r}")
-    return policy
-
-
 def run_once(sol: LpSolution, inst: Instance, seed: int, policy: str = "full", trial: int = 0) -> RunOutcome:
     """Execute one fully-logged trial; deterministic in (seed, trial).
 
@@ -233,11 +224,10 @@ def run_once(sol: LpSolution, inst: Instance, seed: int, policy: str = "full", t
     guards each query with the offline vertex's scheme and outputs a proper
     two-sided matching; "greedy" is "full" with attenuation forced to 1.
     """
-    mode = _mode_of(policy)
-    comp = _Compiled(inst, sol, mode)
-    draws = _chunk_draws(comp, seed, trial, 1, mode)
+    comp = _Compiled(inst, sol, policy)
+    draws = _chunk_draws(comp, seed, trial, 1)
     log = {"chosen": {}, "events": []}
-    reward = _walk_chunk(comp, draws, mode, log=log)
+    reward = _walk_chunk(comp, draws, log=log)
     events = log["events"]
     return RunOutcome(
         matching=[(ev.edge, ev.action) for ev in events if ev.success],
@@ -245,7 +235,7 @@ def run_once(sol: LpSolution, inst: Instance, seed: int, policy: str = "full", t
         permutation=tuple(comp.v_list[i] for i in draws[0][0]),
         chosen=log["chosen"],
         events=events,
-        mode=mode,
+        mode=policy,
     )
 
 
@@ -256,7 +246,6 @@ def simulate(
     trials: int,
     seed: int,
     count_suggestions: bool = False,
-    chunk: int = 8192,
 ):
     """Monte Carlo over trials; returns (rewards ndarray, suggestion counts).
 
@@ -265,19 +254,13 @@ def simulate(
     (per edge/action position reached) feed the marginal preservation
     checks.
     """
-    mode = _mode_of(policy)
-    comp = _Compiled(inst, sol, mode)
+    comp = _Compiled(inst, sol, policy)
     n_e, n_a = comp.q_mat.shape
     sug = np.zeros(n_e * n_a, dtype=np.int64) if count_suggestions else None
     rewards = np.empty(trials)
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        c = min(chunk, trials - done)
-        draws = _chunk_draws(comp, seed, chunk_idx, c, mode)
-        rewards[done : done + c] = _walk_chunk(comp, draws, mode, sug=sug)
-        done += c
-        chunk_idx += 1
+    for chunk_idx, first, c in chunks(trials):
+        draws = _chunk_draws(comp, seed, chunk_idx, c)
+        rewards[first : first + c] = _walk_chunk(comp, draws, sug=sug)
     counts = None
     if count_suggestions:
         sug = sug.reshape(n_e, n_a)
@@ -295,7 +278,7 @@ def simulate(
 # ---------------------------------------------------------------------------
 
 
-def simulate_edge_lp(z: dict, inst: Instance, trials: int, seed: int, chunk: int = 8192):
+def simulate_edge_lp(z: dict, inst: Instance, trials: int, seed: int):
     """Round edge-LP weights: process edges in uniformly random order and
     query a feasible edge via action a with probability z_e(a); both
     endpoints must be unmatched with remaining patience. Returns rewards.
@@ -324,10 +307,7 @@ def simulate_edge_lp(z: dict, inst: Instance, trials: int, seed: int, chunk: int
     e_v = np.array([v_index[e[1]] for e in edges], dtype=np.int64)
 
     rewards = np.empty(trials)
-    done = 0
-    chunk_idx = 0
-    while done < trials:
-        c = min(chunk, trials - done)
+    for chunk_idx, first, c in chunks(trials):
         rng = stream_rng(seed, "permutation", chunk_idx)
         keys = rng.uniform(size=(c, n_e))
         orders = np.argsort(keys, axis=1)
@@ -355,9 +335,7 @@ def simulate_edge_lp(z: dict, inst: Instance, trials: int, seed: int, chunk: int
             reward[t] += r_tab[ei[won], k[won]]
             mu[t, ui] = True
             mv[t, vi] = True
-        rewards[done : done + c] = reward
-        done += c
-        chunk_idx += 1
+        rewards[first : first + c] = reward
     return rewards
 
 
@@ -373,8 +351,8 @@ def audit_outcome(outcome: RunOutcome, sol: LpSolution, inst: Instance) -> list:
     must hold, and the reward must equal the matched rewards."""
     out = []
     mode = outcome.mode
-    rem = {u: (math.inf if is_infinite(inst.patience[u]) else int(inst.patience[u])) for u in inst.U}
-    rem_v = {v: (math.inf if is_infinite(inst.patience[v]) else int(inst.patience[v])) for v in inst.V}
+    rem = {u: inst.patience[u] for u in inst.U}
+    rem_v = {v: inst.patience[v] for v in inst.V}
     u_matched = set()
     v_matched = set()
     queried_edges = set()

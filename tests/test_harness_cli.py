@@ -255,6 +255,24 @@ def test_cli_suite_exit_codes(tmp_path, capsys):
     assert run_cli(["suite", str(manifest), "--filter", "nothing"]) == 2
 
 
+def test_cli_iteration_limits_exit_code(tmp_path, capsys, monkeypatch):
+    from functools import partial
+
+    from qcmatch import simplex
+
+    inst_path = str(tmp_path / "i.json")
+    run_cli(["gen", "--seed", "4", "--out", inst_path])
+    capsys.readouterr()
+    # column generation's column limit
+    monkeypatch.setattr(cli, "solve_lp_c_colgen", partial(cli.solve_lp_c_colgen, iteration_limit=1))
+    assert run_cli(["lp-c-colgen", inst_path, "--eps", "0.01"]) == 2
+    assert "error: column limit 1 reached" in capsys.readouterr().err
+    # the simplex's pivot limit
+    monkeypatch.setattr(simplex, "solve_packing_lp", partial(simplex.solve_packing_lp, max_iter=0))
+    assert run_cli(["lp-m", inst_path]) == 2
+    assert "error: iteration limit 0 hit" in capsys.readouterr().err
+
+
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         cli.main(["unknown-command"])

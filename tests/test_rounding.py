@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 
 from qcmatch import contention as ct
+from qcmatch import rng
 from qcmatch import rounding as rd
 from qcmatch.exact import opt_dp
 from qcmatch.harness import guarantee_ratio
@@ -213,16 +214,20 @@ _PINNED_SELECTABILITY = {  # offline vertex -> [(element, action, queried, condi
 }
 
 
-def test_fixed_seed_outputs_reproduce():
+def test_fixed_seed_outputs_reproduce(monkeypatch):
     # offline patience 1, 2 and unbounded; online patience unbounded, 2 and 1
     inst = random_instance(47, 3, 3, 2, patience_range=(1, 2, INFINITE))
     sol = solved(inst)
-    for policy, (reward_sum, sug) in _PINNED_SIM.items():
-        rewards, counts = rd.simulate(sol, inst, policy, 5000, seed=17, count_suggestions=True, chunk=2048)
-        assert float(rewards.sum()) == reward_sum, policy
-        assert [counts[((u, v), a)] for u in inst.U for v in inst.V for a in inst.A] == sug, policy
     z = solve_edge_lp(inst).z
-    assert float(rd.simulate_edge_lp(z, inst, 5000, seed=17, chunk=2048).sum()) == _PINNED_EDGE_LP
+    # the rounding pins were recorded with 2048-trial chunks, the
+    # selectability pins below with the default single chunk
+    with monkeypatch.context() as m:
+        m.setattr(rng, "CHUNK", 2048)
+        for policy, (reward_sum, sug) in _PINNED_SIM.items():
+            rewards, counts = rd.simulate(sol, inst, policy, 5000, seed=17, count_suggestions=True)
+            assert float(rewards.sum()) == reward_sum, policy
+            assert [counts[((u, v), a)] for u in inst.U for v in inst.V for a in inst.A] == sug, policy
+        assert float(rd.simulate_edge_lp(z, inst, 5000, seed=17).sum()) == _PINNED_EDGE_LP
     inputs = rd.scheme_inputs(inst, sol)
     assert {u: inst.patience[u] for u in inputs} == {"u0": 1, "u1": 2, "u2": INFINITE}
     for u, inp in inputs.items():
@@ -250,14 +255,28 @@ def test_chunk_walk_matches_single_trial_walks():
         sol = solved(inst)
         for policy in ("full", "greedy", "relaxed"):
             comp = rd._Compiled(inst, sol, policy)
-            draws = rd._chunk_draws(comp, seed, 0, 64, policy)
+            draws = rd._chunk_draws(comp, seed, 0, 64)
             sug = np.zeros(comp.q_mat.size, dtype=np.int64)
-            rewards = rd._walk_chunk(comp, draws, policy, sug=sug)
+            rewards = rd._walk_chunk(comp, draws, sug=sug)
             sug_one = np.zeros_like(sug)
             for t in range(64):
                 one = [None if d is None else d[t : t + 1] for d in draws]
-                assert rd._walk_chunk(comp, one, policy, sug=sug_one)[0] == rewards[t], (seed, policy, t)
+                assert rd._walk_chunk(comp, one, sug=sug_one)[0] == rewards[t], (seed, policy, t)
             assert np.array_equal(sug, sug_one), (seed, policy)
+
+
+def test_first_rewards_do_not_depend_on_trials(monkeypatch):
+    # chunk k is drawn from counter k alone, so a run's first trials do not
+    # change when more trials follow them, across a chunk boundary too
+    monkeypatch.setattr(rng, "CHUNK", 64)
+    inst = random_instance(90, 3, 4, 2, patience_range=(1, 2, INFINITE))
+    sol = solved(inst)
+    for policy in ("full", "greedy", "relaxed"):
+        short, _ = rd.simulate(sol, inst, policy, 127, seed=5)
+        long, _ = rd.simulate(sol, inst, policy, 131, seed=5)
+        assert np.array_equal(long[:127], short), policy
+    z = solve_edge_lp(inst).z
+    assert np.array_equal(rd.simulate_edge_lp(z, inst, 131, seed=5)[:127], rd.simulate_edge_lp(z, inst, 127, seed=5))
 
 
 def test_simulate_chunk_memory_ceiling():
