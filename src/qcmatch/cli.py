@@ -85,6 +85,7 @@ def _lp_common(args, solver, **kw):
         {
             "value": sol.objective,
             "n_columns": sol.n_columns,
+            "iterations": sol.iterations,
             "marginals": _marginals_doc(sol.marginals),
             "duals": {
                 "alpha": duals.alpha,
@@ -104,6 +105,7 @@ def cmd_lp_m(args):
         {
             "value": res.value,
             "n_columns": len(res.z),
+            "iterations": res.iterations,
             "marginals": _marginals_doc(res.z),
             "duals": {f"{kind}:{s}": d for (kind, s), d in sorted(res.duals.items())},
         },

@@ -73,6 +73,7 @@ class LpSolution:
     marginals: dict  # (edge, action) -> induced query probability
     duals: DualPrices | None = None
     n_columns: int = 0
+    iterations: int = 0  # simplex pivots, summed over every master solve
 
 
 @dataclass
@@ -80,6 +81,7 @@ class EdgeLpResult:
     value: float
     z: dict  # (edge, action) -> weight
     duals: dict  # (tag, vertex) -> dual price
+    iterations: int  # simplex pivots
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +123,7 @@ def solve_edge_lp(inst: Instance) -> EdgeLpResult:
     res = simplex.solve_packing_lp(c, np.array(rows).reshape(len(rows), n), np.array(rhs))
     z = {p: float(res.x[j]) for p, j in col.items() if res.x[j] > _WEIGHT_EPS}
     duals = {t: float(max(0.0, d)) for t, d in zip(tags, res.duals)}
-    return EdgeLpResult(value=res.value, z=z, duals=duals)
+    return EdgeLpResult(value=res.value, z=z, duals=duals, iterations=res.iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +249,7 @@ def _solve_master(inst: Instance, configs: list):
     c = np.array([cfg.value for cfg in configs])
     res = simplex.solve_packing_lp(c, A, rhs)
     weights = {cfg: float(x) for cfg, x in zip(configs, res.x) if x > _WEIGHT_EPS}
-    return weights, float(res.value), _duals_from(tags, res.duals, inst)
+    return weights, float(res.value), _duals_from(tags, res.duals, inst), res.iterations
 
 
 def solve_lp_c_explicit(inst: Instance, config_budget: int | None = None) -> LpSolution:
@@ -255,13 +257,14 @@ def solve_lp_c_explicit(inst: Instance, config_budget: int | None = None) -> LpS
     configs = []
     for v in inst.V:
         configs.extend(enumerate_configs(inst, v, config_budget))
-    weights, value, duals = _solve_master(inst, configs)
+    weights, value, duals, iterations = _solve_master(inst, configs)
     return LpSolution(
         weights=weights,
         objective=value,
         marginals=edge_marginals(weights, inst),
         duals=duals,
         n_columns=len(configs),
+        iterations=iterations,
     )
 
 
@@ -354,7 +357,7 @@ def solve_lp_c_colgen(
         raise ValueError("eps must lie in (0, 1)")
     seen = set()
     configs = []
-    weights, value, duals = _solve_master(inst, configs)
+    weights, value, duals, iterations = _solve_master(inst, configs)
     while True:
         improved = False
         for v in inst.V:
@@ -372,7 +375,8 @@ def solve_lp_c_colgen(
                 improved = True
         if not improved:
             break
-        weights, value, duals = _solve_master(inst, configs)
+        weights, value, duals, pivots = _solve_master(inst, configs)
+        iterations += pivots
 
     return LpSolution(
         weights=weights,
@@ -380,6 +384,7 @@ def solve_lp_c_colgen(
         marginals=edge_marginals(weights, inst),
         duals=duals,
         n_columns=len(configs),
+        iterations=iterations,
     )
 
 

@@ -279,22 +279,49 @@ def verify_attenuation_properties(n_grid: int = 1000) -> VerifyReport:
     )
 
 
-def _exchange_integrands(u, s, t, y):
-    """Both patience-2 exchange integrands on broadcast grids.
+def _exchange_values(u, s, t):
+    """Both patience-2 exchange integrals at points (x1, s, t), each by its case.
 
     u = x1, s = mass of the p=1 block, t = mass of the modified p=0 element.
-    Case 1 applies when t > 1 - s - u, case 2 otherwise.
+    With m = 2 - s - u - t, d1 = 1 - s - u, d0 = t - d1 and r = 1 - s - u - t,
+    the integrands over y in [0, 1] are
+
+        case 1 (t > d1): (e^{-ys} - e^{-y(1-u)}) (1 - ym)
+                         - (e^{-y d1} (1 - y d0) - (1 - yt)) ym e^{-y(1-u-t)},
+        case 2 (else):   e^{-ys} (1 - e^{-yt}) (1 - y) (1 - yr)
+                         - (e^{-yt} - (1 - yt)) ym e^{-y(1-u-t)}.
+
+    Each is a sum of terms c(u, s, t) y^k e^{-a y} with k <= 2, so its
+    integral is a short sum of moments M_k(a) = sum_i w_i y_i^k e^{-a y_i}
+    on the 4 x 16 Gauss-Legendre nodes of [0, 1], evaluated once per
+    distinct exponent a. Returns the integrals and the case-1 mask.
     """
-    m = 2.0 - s - u - t
-    d1 = 1.0 - s - u
-    d0 = t - d1
-    case1 = (np.exp(-y * s) - np.exp(-y * (1.0 - u))) * (1.0 - y * m) - (
-        np.exp(-y * d1) * (1.0 - y * d0) - (1.0 - y * t)
-    ) * y * m * np.exp(-y * (1.0 - u - t))
-    case2 = np.exp(-y * s) * (1.0 - np.exp(-y * t)) * (1.0 - y) * (
-        1.0 - y * (1.0 - s - u - t)
-    ) - (np.exp(-y * t) - (1.0 - y * t)) * y * m * np.exp(-y * (1.0 - u - t))
-    return case1, case2
+    y, w = _gl_nodes(0.0, 1.0, panels=4, order=16)
+    wy = np.stack([w, w * y, w * y * y], axis=1)
+
+    def moments(a):
+        a, inv = np.unique(a, return_inverse=True)
+        return (np.exp(-np.outer(a, y)) @ wy)[inv].T
+
+    use1 = t > (1.0 - s - u)
+    vals = np.empty(u.shape)
+
+    u1, s1, t1 = u[use1], s[use1], t[use1]
+    m, d0 = 2.0 - s1 - u1 - t1, t1 - (1.0 - s1 - u1)
+    ms, mu, mb, mt = moments(s1), moments(1.0 - u1), moments(2.0 - s1 - 2.0 * u1 - t1), moments(1.0 - u1 - t1)
+    vals[use1] = (
+        ms[0] - m * ms[1] - mu[0] + m * mu[1]
+        - m * mb[1] + m * d0 * mb[2] + m * mt[1] - m * t1 * mt[2]
+    )
+
+    u2, s2, t2 = u[~use1], s[~use1], t[~use1]
+    m, r = 2.0 - s2 - u2 - t2, 1.0 - s2 - u2 - t2
+    ms, mst, mu, mt = moments(s2), moments(s2 + t2), moments(1.0 - u2), moments(1.0 - u2 - t2)
+    vals[~use1] = (
+        ms[0] - (1.0 + r) * ms[1] + r * ms[2] - mst[0] + (1.0 + r) * mst[1] - r * mst[2]
+        - m * mu[1] + m * mt[1] - m * t2 * mt[2]
+    )
+    return vals, use1
 
 
 def verify_patience2_exchange(n_grid: int = 50) -> VerifyReport:
@@ -302,19 +329,15 @@ def verify_patience2_exchange(n_grid: int = 50) -> VerifyReport:
 
     Sweeps (x1, s, t) over the feasible box (x1 + s <= 1) and asserts every
     integral is >= -1e-9, which is what lets the patience-2 analysis assume
-    the p=1 block carries all remaining suggestion mass.
+    the p=1 block carries all remaining suggestion mass. Each point's
+    integral is evaluated only for the case that applies there, as a sum of
+    Gauss-Legendre moments (see _exchange_values).
     """
     g = np.linspace(0.0, 1.0, n_grid)
     u, s, t = np.meshgrid(g, g, g, indexing="ij")
     mask = (u + s) <= 1.0 + 1e-12
     u, s, t = u[mask], s[mask], t[mask]
-
-    y, w = _gl_nodes(0.0, 1.0, panels=4, order=16)
-    c1, c2 = _exchange_integrands(u[:, None], s[:, None], t[:, None], y[None, :])
-    vals1 = c1 @ w
-    vals2 = c2 @ w
-    use1 = t > (1.0 - s - u)
-    vals = np.where(use1, vals1, vals2)
+    vals, use1 = _exchange_values(u, s, t)
 
     i = int(np.argmin(vals))
     return VerifyReport(

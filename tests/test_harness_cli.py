@@ -163,6 +163,8 @@ def test_cli_lp_commands(tmp_path, capsys):
         assert run_cli(cmd) == 0
         doc = json.loads(capsys.readouterr().out)
         assert "value" in doc and "marginals" in doc and "duals" in doc
+        # the simplex pivots (summed over column generation's master solves)
+        assert type(doc["iterations"]) is int and doc["iterations"] >= 0, cmd[0]
 
 
 def test_cli_lp_values_agree(tmp_path, capsys):
@@ -223,6 +225,13 @@ def test_cli_verify_numerics_subset(capsys):
     assert run_cli(["verify-numerics", "--suite", "bennett"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc[0]["suite"] == "bennett" and doc[0]["pass"]
+
+
+def test_cli_verify_numerics_exchange(capsys):
+    assert run_cli(["verify-numerics", "--suite", "exchange"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc[0]["suite"] == "exchange" and doc[0]["pass"]
+    assert doc[0]["points_checked"] == 63750
 
 
 def test_cli_verify_numerics_failing_suite_exit_code(capsys):

@@ -243,6 +243,27 @@ def test_colgen_all_zero_rewards():
     assert sol.n_columns == 0
 
 
+def test_lp_iterations_are_the_simplex_pivots(monkeypatch):
+    from qcmatch import simplex
+
+    pivots = []
+    solve = simplex.solve_packing_lp
+
+    def counting(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        pivots.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(simplex, "solve_packing_lp", counting)
+    inst = small_instances(1, start=900)[0]
+    for solver in (solve_edge_lp, solve_lp_c_explicit, solve_lp_c_colgen):
+        pivots.clear()
+        res = solver(inst)
+        # column generation sums its master solves; the others solve once
+        assert len(pivots) > 1 if solver is solve_lp_c_colgen else len(pivots) == 1
+        assert res.iterations == sum(pivots) > 0
+
+
 def test_colgen_matches_explicit_and_certifies_duals():
     for inst in small_instances(20, start=900):
         explicit = solve_lp_c_explicit(inst)

@@ -1,4 +1,6 @@
 import math
+import time
+import tracemalloc
 
 import mpmath as mp
 import numpy as np
@@ -148,12 +150,71 @@ def test_verify_attenuation_properties_passes():
     assert (z * bh - z * b1) / 2 - z**2 * bh**2 / 12 > 0
 
 
+def _exchange_integrands(u, s, t, y):
+    """Independent oracle: both patience-2 exchange integrands on broadcast
+    grids, as written in the analysis (case 1 when t > 1 - s - u)."""
+    m = 2.0 - s - u - t
+    d1 = 1.0 - s - u
+    d0 = t - d1
+    case1 = (np.exp(-y * s) - np.exp(-y * (1.0 - u))) * (1.0 - y * m) - (
+        np.exp(-y * d1) * (1.0 - y * d0) - (1.0 - y * t)
+    ) * y * m * np.exp(-y * (1.0 - u - t))
+    case2 = np.exp(-y * s) * (1.0 - np.exp(-y * t)) * (1.0 - y) * (
+        1.0 - y * (1.0 - s - u - t)
+    ) - (np.exp(-y * t) - (1.0 - y * t)) * y * m * np.exp(-y * (1.0 - u - t))
+    return case1, case2
+
+
+def _exchange_grid(n_grid):
+    g = np.linspace(0.0, 1.0, n_grid)
+    u, s, t = np.meshgrid(g, g, g, indexing="ij")
+    mask = (u + s) <= 1.0 + 1e-12
+    return u[mask], s[mask], t[mask]
+
+
 def test_verify_patience2_exchange_passes():
     rep = nm.verify_patience2_exchange(50)
     assert rep.passed, rep.as_dict()
-    # degenerate point: t = 0 makes the case-2 integrand vanish identically
-    c1, c2 = nm._exchange_integrands(np.array(0.3), np.array(0.4), np.array(0.0), np.linspace(0, 1, 11))
+    # degenerate points: t = 0 makes the case-2 integrand vanish identically
+    u, s, t = _exchange_grid(50)
+    vals, use1 = nm._exchange_values(u, s, t)
+    zero = t == 0.0
+    assert zero.sum() == 1275 and not use1[zero].any()
+    assert np.max(np.abs(vals[zero])) <= 1e-15
+    c1, c2 = _exchange_integrands(np.array(0.3), np.array(0.4), np.array(0.0), np.linspace(0, 1, 11))
     assert np.allclose(c2, 0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("n_grid", [10, 20, 33, 50])
+def test_exchange_moments_match_integrand_oracle(n_grid):
+    # the suite's moment sums against the integrands summed on the same nodes
+    u, s, t = _exchange_grid(n_grid)
+    y, w = nm._gl_nodes(0.0, 1.0, panels=4, order=16)
+    c1, c2 = _exchange_integrands(u[:, None], s[:, None], t[:, None], y[None, :])
+    use1_ref = t > (1.0 - s - u)
+    ref = np.where(use1_ref, c1 @ w, c2 @ w)
+    vals, use1 = nm._exchange_values(u, s, t)
+    assert np.array_equal(use1, use1_ref)
+    assert np.max(np.abs(vals - ref)) <= 1e-14
+    rep = nm.verify_patience2_exchange(n_grid)
+    assert rep.points_checked == ref.size
+    assert rep.passed == (ref.min() >= -1e-9)
+    assert abs(rep.min_margin - ref.min()) <= 1e-14
+
+
+def test_exchange_suite_bounded_memory():
+    # moments per distinct exponent, not a (points x nodes) array per case
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        rep = nm.verify_patience2_exchange(50)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.passed and rep.points_checked == 63750
+    assert elapsed < 2.0, elapsed
+    assert peak < 32e6, peak
 
 
 def test_verify_final_bounds_passes():
