@@ -5,25 +5,27 @@ Pipeline: estimate the optimum from the single-vertex edge LP, bucket the
 per-bucket base and increment values on an eps^2-grid, solve an exact
 assignment feasibility program per guess, rebuild a policy from each
 feasible assignment, and keep the best. The guesses are walked bucket by
-bucket, and each prefix of buckets is solved as a program of its own: a
-prefix without a feasible assignment has no feasible extension, so its
-subtree is skipped. Solutions are cached per value candidate by the
-multiset of bucket descriptors. Each prefix program checked, cached or
-not, is one guess tried, charged against the guess budget as the count
-grows. An assignment is a tuple of per-bucket edge-index tuples. Edge
-loads depend only on the value candidate and a bucket's base grid index,
-so they are computed once per (candidate, grid base, edge), when a guess
-first needs that base, and shared by every guess; all the walk's work
-thus grows with the guesses tried, whatever eps is. The (1 - 7 eps)
-guarantee is vacuous at desk-scale eps; the operative contracts are
-feasibility, value never above the true optimum, and feasibility of the
-truth-rounded guess.
+bucket. Each prefix of buckets carries its frontier: the set of used-edge
+masks its buckets can cover together, one Python int over the 2^n masks
+of the star's n edges (at most `MAX_EDGES`). Adding a bucket combines the
+frontier with the bucket's feasible edge subsets; a prefix whose frontier
+is empty has no feasible extension, and its subtree is skipped. Each
+prefix checked is one guess tried, charged against the guess budget as
+the count grows. A feasible guess builds its assignment from the suffix
+frontiers of its buckets, without backtracking, once per value candidate
+and multiset of bucket guesses. An assignment is a tuple of per-bucket
+edge-index tuples. Edge loads, and the subsets they make feasible, depend
+only on the value candidate and a bucket's base grid index, so they are
+computed once per (candidate, grid base), when a guess first needs that
+base; all the walk's work thus grows with the guesses tried, whatever eps
+is. The (1 - 7 eps) guarantee is vacuous at desk-scale eps; the operative
+contracts are feasibility, value never above the true optimum, and
+feasibility of the truth-rounded guess.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
@@ -39,6 +41,7 @@ from .exact import (
 from .instances import Instance, is_infinite
 
 DEFAULT_GUESS_BUDGET = int(1e5)
+MAX_EDGES = 12  # largest star the frontiers take (2^n bits each)
 
 
 def grid_inverse(eps: float) -> int:
@@ -134,68 +137,111 @@ def estimate_value_candidates(table, ell, eps: float):
     return lpopt, out
 
 
+class _MaskSets:
+    """Sets of used-edge masks over a star's n edges, each one Python int
+    with bit M set when mask M is in the set. Only masks of at most
+    `budget` edges are ever kept, the patience cap of a bucket program."""
+
+    def __init__(self, n: int, budget: int):
+        if n > MAX_EDGES:
+            raise BudgetExceeded(
+                f"{n} edges: the bucket programs hold 2^n masks, at most {MAX_EDGES} edges allowed",
+                estimate=1 << n,
+            )
+        self.budget = budget
+        full = (1 << (1 << n)) - 1
+        # free[e]: the masks without edge e, runs of 2^e set bits every 2^(e+1)
+        self.free = [((1 << (1 << e)) - 1) * (full // ((1 << (2 << e)) - 1)) for e in range(n)]
+        by_size = [1]  # by_size[c]: the masks of c edges, over the first e edges
+        for e in range(n):
+            by_size = [low | high << (1 << e) for low, high in zip(by_size + [0], [0] + by_size)]
+        self.fits = [by_size[0]]  # fits[b]: the masks of at most b edges
+        for size in range(1, budget + 1):
+            self.fits.append(self.fits[-1] | by_size[size])
+        self.full = full
+
+    def subsets(self, row) -> list:
+        """(load, choice) of every subset of the edges with positive load,
+        up to `budget` edges, in the search order: by size, then in
+        `combinations` order over the edges sorted by descending load (ties
+        by index). Each load is summed left to right in that order. A choice
+        is (mask, size, the masks disjoint from it)."""
+        cands = sorted((e for e in range(len(row)) if row[e] > 0), key=lambda e: -row[e])
+        grow = [(pos, row[e], 1 << e, self.free[e]) for pos, e in enumerate(cands, 1)]
+        out = []
+        level = [(0, 0, self.full, 0)]  # (load, mask, the masks disjoint from it, next position)
+        for size in range(1, min(self.budget, len(cands)) + 1):
+            level = [
+                (load + add, S | bit, free & free_e, pos)
+                for load, S, free, last in level
+                for pos, add, bit, free_e in grow[last:]
+            ]
+            out += [(load, (S, size, free)) for load, S, free, _ in level]
+        return out
+
+    def choices(self, subsets, need: float, jump: bool) -> list:
+        """The (load, choice) records of a bucket's feasible choices, kept
+        in the order of `subsets`: a bucket with need <= 0 stays empty;
+        otherwise its load must reach need - 1e-12, and a jump bucket holds
+        one edge. Filtering these again for a larger need gives the same as
+        filtering `subsets` for it."""
+        if need <= 0:
+            return [(0.0, (0, 0, self.full))]
+        return [rec for rec in subsets if rec[0] >= need - 1e-12 and (rec[1][1] == 1 or not jump)]
+
+    def extend(self, reach: int, choices) -> int:
+        """The masks reachable once a bucket with these choices joins the
+        buckets that reach `reach`."""
+        out = 0
+        for _, (S, _, free) in choices:
+            out |= (reach & free) << S
+        return out & self.fits[self.budget]
+
+    def assign(self, needs, choices) -> tuple | None:
+        """The first feasible assignment, per bucket a tuple of edges, of
+        the depth-first search that takes the buckets by descending need
+        (ties by index), each trying its choices in order; None when there
+        is none. Each bucket takes the first choice that leaves the later
+        buckets' frontier a mask that fits, so nothing is backtracked."""
+        order = sorted(range(len(needs)), key=lambda i: -needs[i])
+        suffix = [1]
+        for i in reversed(order):
+            suffix.append(self.extend(suffix[-1], choices[i]))
+        if not suffix[-1]:
+            return None
+        suffix.reverse()  # suffix[k]: the frontier of the buckets order[k:]
+        picks = [()] * len(needs)
+        avail, left = self.full, self.budget  # avail: the masks disjoint from the edges used
+        for k, i in enumerate(order):
+            for _, (S, size, free) in choices[i]:
+                if size <= left and avail >> S & 1 and suffix[k + 1] & avail & free & self.fits[left - size]:
+                    picks[i] = tuple(e for e in range(S.bit_length()) if S >> e & 1)
+                    avail &= free
+                    left -= size
+                    break
+        return tuple(picks)
+
+
 def solve_bucket_ip(plan: BucketPlan, loads, ell) -> tuple | None:
-    """Exact feasibility search for the bucket-assignment program.
+    """Exact solution of the bucket-assignment program.
 
     `loads[i][e]` is edge e's load at bucket i's base guess. Returns the
-    first feasible assignment found, a tuple of per-bucket edge-index
-    tuples that `check_assignment` accepts, or None. Buckets with zero need
-    stay empty (never worse for feasibility). Replaces randomized rounding
-    with exact satisfaction of every constraint, including the load lower
-    bounds, which desk-scale sizes allow.
+    first feasible assignment of the depth-first search that takes the
+    buckets by descending need (ties by index) and each bucket's subsets
+    by size, then in `combinations` order over the edges sorted by
+    descending load: a tuple of per-bucket edge-index tuples that
+    `check_assignment` accepts, or None. Buckets with zero need stay empty
+    (never worse for feasibility). The mask frontiers of `_MaskSets`
+    decide each step, so the search never backtracks.
     """
-    needs = plan.delta_guess
     n = len(loads[0])
-    caps = [1 if jump else n for jump in plan.jump_flags]
-    order = sorted(range(len(needs)), key=lambda i: -needs[i])
-    budget = min(ell, n)
-
-    def feasible_tail(k, avail, budget_left):
-        # cheap veto: every remaining bucket must be coverable in isolation
-        for i in order[k:]:
-            need = needs[i]
-            if need <= 0:
-                continue
-            row = loads[i]
-            tops = sorted((row[e] for e in avail), reverse=True)[: min(caps[i], budget_left)]
-            if sum(tops) < need - 1e-12:
-                return False
-        return True
-
-    def go(k, avail, budget_left, acc):
-        if k == len(order):
-            return acc
-        i = order[k]
-        need = needs[i]
-        if need <= 0:
-            return go(k + 1, avail, budget_left, acc)
-        if not feasible_tail(k, avail, budget_left):
-            return None
-        row = loads[i]
-        cands = sorted((e for e in avail if row[e] > 0), key=lambda e: -row[e])
-        max_size = min(caps[i], budget_left, len(cands))
-        for size in range(1, max_size + 1):
-            if sum(row[e] for e in cands[:size]) < need - 1e-12:
-                continue
-            for subset in combinations(cands, size):
-                if sum(row[e] for e in subset) < need - 1e-12:
-                    continue
-                res = go(k + 1, avail - set(subset), budget_left - size, acc + [(i, subset)])
-                if res is not None:
-                    return res
-        return None
-
-    res = go(0, set(range(n)), budget, [])
-    if res is None:
-        return None
-    by_bucket = [()] * len(needs)
-    for i, subset in res:
-        by_bucket[i] = tuple(sorted(subset))
-    by_bucket = tuple(by_bucket)
-    bad = check_assignment(by_bucket, plan, loads, ell)
-    if bad:  # pragma: no cover - solver postcondition
-        raise AssertionError(f"solver returned an invalid assignment: {bad}")
-    return by_bucket
+    sets = _MaskSets(n, min(ell, n))
+    subsets = {row: sets.subsets(row) for row in {tuple(row) for row in loads}}
+    choices = [
+        sets.choices(subsets[tuple(row)], need, jump)
+        for row, need, jump in zip(loads, plan.delta_guess, plan.jump_flags)
+    ]
+    return sets.assign(plan.delta_guess, choices)
 
 
 def reconstruct(by_bucket, table):
@@ -224,19 +270,23 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
     (clamped at the top), jump deltas at least (1/eps - 1) steps, and the
     top bucket's bg + dg reaching the top of the grid. The guesses are
     walked depth-first, delta ascending at each bucket, and every prefix
-    is solved as a bucket program of its own, cached per value candidate
-    by the multiset of its (base, delta, jump) descriptors and shared by
-    every K. A prefix without a feasible assignment has no feasible
-    extension, nor has the same prefix with a larger last delta, so both
-    subtrees are skipped. Each prefix program the walk checks, cached or
-    not, counts as one guess tried in `guesses_tried`; once that count
+    extends its parent's frontier by its last bucket. A prefix with an
+    empty frontier has no feasible extension, nor has the same prefix with
+    a larger last delta, so both subtrees are skipped. Each prefix the walk
+    checks counts as one guess tried in `guesses_tried`; once that count
     passes the guess budget the walk raises `BudgetExceeded`. Every
-    feasible guess is reconstructed in walk order, and the first best
-    value found is kept.
+    feasible guess is reconstructed in walk order from the assignment that
+    `solve_bucket_ip` would return for its buckets, built by the same
+    `_MaskSets.assign` once per value candidate and multiset of (base,
+    delta, jump) descriptors, and the first best value found is kept. A
+    star of more than `MAX_EDGES` edges raises `BudgetExceeded` before any
+    frontier is built: the frontiers hold 2^n bits, and a bucket may have
+    2^n - 1 subsets to combine.
     """
     inv = grid_inverse(eps)
     gmax = inv * inv  # grid = {0, 1, ..., gmax} in units of eps^2 * E
     budget = budget_override(guess_budget if guess_budget is not None else DEFAULT_GUESS_BUDGET)
+    sets = _MaskSets(len(table), min(ell, len(table)))
 
     _, candidates = estimate_value_candidates(table, ell, eps)
 
@@ -248,55 +298,52 @@ def eptas_core(table, ell, eps: float, guess_budget: int | None = None):
             lo = max(lo, gmax - 1 - bg)
         return range(lo, gmax + 1)
 
-    def walk(m, i, bg, prefix, solve):
-        # yields (descriptors, assignment) of every feasible guess
-        for dg in deltas(m, i, bg):
-            desc = prefix + ((bg, dg, i % 2 == 1),)
-            assign = solve(tuple(sorted(desc)))
-            if assign is None:  # larger deltas only raise this bucket's need
-                return
-            if i == m - 1:
-                yield desc, assign
-                continue
-            for bg2 in {min(bg + dg, gmax), min(bg + dg + 1, gmax)}:
-                yield from walk(m, i + 1, bg2, desc, solve)
-
     best_val, best_order, best_actions = 0.0, (), ()
     guesses_tried = 0
     feasible = 0
     for e_val in candidates:
         step = eps * eps * e_val
-        loads = {}  # loads[g][e]: edge e's load at base grid index g
-        feas_cache = {}
+        subsets = {}  # subsets[g]: sets.subsets of the loads at base grid index g
+        leaves = {}  # assignment per sorted leaf key
 
-        def load_row(g):
-            if g not in loads:
-                loads[g] = [bucket_load(acts, g * step) for acts in table]
-            return loads[g]
-
-        def solve(key):
+        def walk(m, i, bg, prefix, path, reach):
+            # yields (descriptors, choices per bucket) of every feasible
+            # guess; `reach` is the prefix's frontier
             nonlocal guesses_tried
-            guesses_tried += 1
-            if guesses_tried > budget:
-                raise BudgetExceeded(f"more than {budget} guesses tried", estimate=guesses_tried)
-            if key not in feas_cache:
-                plan = BucketPlan(
-                    jump_flags=tuple(j for _, _, j in key),
-                    base_guess=tuple(bg * step for bg, _, _ in key),
-                    delta_guess=tuple(dg * step for _, dg, _ in key),
-                )
-                feas_cache[key] = solve_bucket_ip(plan, [load_row(bg) for bg, _, _ in key], ell)
-            return feas_cache[key]
+            jump = i % 2 == 1
+            if bg not in subsets:
+                subsets[bg] = sets.subsets([bucket_load(acts, bg * step) for acts in table])
+            pool = subsets[bg]
+            for dg in deltas(m, i, bg):
+                guesses_tried += 1
+                if guesses_tried > budget:
+                    raise BudgetExceeded(f"more than {budget} guesses tried", estimate=guesses_tried)
+                need = dg * step
+                choices = sets.choices(pool, need, jump)
+                if need > 0:
+                    pool = choices  # a larger delta keeps some of these
+                nxt = sets.extend(reach, choices)
+                if not nxt:  # larger deltas only raise this bucket's need
+                    return
+                desc = prefix + ((bg, dg, jump),)
+                if i == m - 1:
+                    yield desc, path + (choices,)
+                    continue
+                for bg2 in {min(bg + dg, gmax), min(bg + dg + 1, gmax)}:
+                    yield from walk(m, i + 1, bg2, desc, path + (choices,), nxt)
 
         for K in range(0, inv + 1):
             m = 2 * K + 1
-            for desc, assign_sorted in walk(m, 0, 0, (), solve):
+            for desc, path in walk(m, 0, 0, (), (), 1):
                 feasible += 1
-                # remap the canonically-sorted buckets back to guess order
+                # the canonically-sorted buckets, and where each sits in guess order
                 slots = sorted(range(m), key=desc.__getitem__)
+                key = tuple(desc[slot] for slot in slots)
+                if key not in leaves:
+                    leaves[key] = sets.assign([dg * step for _, dg, _ in key], [path[slot] for slot in slots])
                 by_bucket = [()] * m
                 for pos, slot in enumerate(slots):
-                    by_bucket[slot] = assign_sorted[pos]
+                    by_bucket[slot] = leaves[key][pos]
                 val, order, actions, _, _ = reconstruct(by_bucket, table)
                 if val > best_val:
                     best_val, best_order, best_actions = val, order, actions

@@ -107,16 +107,15 @@ def guarantee_ratio(inst: Instance) -> float:
 
 
 def default_threshold(cfg: ExperimentConfig, inst: Instance) -> float:
+    # column generation prices exactly, so its LP value is the configuration
+    # LP's and the full pipeline's guarantee applies unrelaxed
     if cfg.threshold_ratio is not None:
         return cfg.threshold_ratio
     if cfg.pipeline == "lp-m+greedy":
         return EDGE_TEMPLATE_RATIO
     if cfg.pipeline == "lp-c+greedy":
         return GREEDY_RATIO
-    ratio = guarantee_ratio(inst)
-    if cfg.pipeline == "lp-c-colgen+full":
-        ratio *= 1.0 - (cfg.eps or 0.0)
-    return ratio
+    return guarantee_ratio(inst)
 
 
 @dataclass

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from qcmatch import eptas as ep
 from qcmatch.exact import BudgetExceeded, star_opt_bruteforce, _future_values_core
 from qcmatch.instances import INFINITE, make_instance, random_instance
+from test_exact import random_star_table
 
 
 def table_of(inst):
@@ -291,22 +292,30 @@ def test_eptas_outputs_reproduce():
 
 
 def test_eptas_pinned_solve_counts(monkeypatch):
-    # the prefix prune solves at most half the 7,360 bucket programs the
-    # unpruned walk solves per star; counting through the module attribute
-    # also shows the walk looks solve_bucket_ip up where a tracer wraps it
-    calls = []
-    solve = ep.solve_bucket_ip
+    # the walk decides its prefixes by frontiers and never calls
+    # solve_bucket_ip (counted through the module attribute, where a tracer
+    # wraps it); it builds one assignment per distinct sorted leaf key, and
+    # never more than it has feasible guesses
+    calls, builds = [], []
+    solve, assign = ep.solve_bucket_ip, ep._MaskSets.assign
 
-    def counting(plan, loads, ell):
+    def counting_solve(plan, loads, ell):
         calls.append(plan)
         return solve(plan, loads, ell)
 
-    monkeypatch.setattr(ep, "solve_bucket_ip", counting)
+    def counting_assign(self, needs, choices):
+        builds.append(needs)
+        return assign(self, needs, choices)
+
+    monkeypatch.setattr(ep, "solve_bucket_ip", counting_solve)
+    monkeypatch.setattr(ep._MaskSets, "assign", counting_assign)
     for inst in pinned_stars():
-        calls.clear()
-        value = ep.eptas_core(table_of(inst), inst.patience[inst.V[0]], 0.5)[0]
-        if value > 0:
-            assert 0 < len(calls) <= 3680, (value, len(calls))
+        builds.clear()
+        table, ell = table_of(inst), inst.patience[inst.V[0]]
+        _, _, _, stats = ep.eptas_core(table, ell, 0.5)
+        _, leaf_keys = replay_walk(table, ell, 0.5)
+        assert len(builds) == leaf_keys <= stats["feasible_guesses"], (len(builds), leaf_keys, stats)
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
@@ -405,7 +414,7 @@ def test_pruned_walk_matches_unpruned(star):
 def bucket_programs(draw):
     n = draw(st.integers(1, 5))
     m = draw(st.integers(1, 4))
-    ell = draw(st.sampled_from([*range(1, n + 1), INFINITE]))
+    ell = draw(st.sampled_from([*range(0, n + 1), INFINITE]))
     loads = [[draw(unit) for _ in range(n)] for _ in range(m)]
     jump = tuple(draw(st.booleans()) for _ in range(m))
     delta = tuple(draw(st.sampled_from([0.0, 0.1, 0.25, 0.5, 0.75, 1.0, 1.5])) for _ in range(m))
@@ -434,3 +443,146 @@ def test_bucket_feasibility_survives_lowering_and_dropping(program):
                 tuple(plan.delta_guess[i] for i in keep),
             )
             assert ep.solve_bucket_ip(sub, [loads[i] for i in keep], ell) is not None, (plan, keep)
+
+
+# ---------------------------------------------------------------------------
+# The recursive bucket-program search, kept as the oracle for the frontiers
+# ---------------------------------------------------------------------------
+
+
+def recursive_bucket_ip(plan, loads, ell):
+    # depth-first search over the buckets by descending need, each bucket's
+    # subsets by size, then in combinations order over the available edges
+    # by descending load; a bucket left uncoverable on its own vetoes the
+    # branch. Returns the first assignment found or None
+    needs = plan.delta_guess
+    n = len(loads[0])
+    caps = [1 if jump else n for jump in plan.jump_flags]
+    order = sorted(range(len(needs)), key=lambda i: -needs[i])
+
+    def feasible_tail(k, avail, budget_left):
+        for i in order[k:]:
+            if needs[i] <= 0:
+                continue
+            tops = sorted((loads[i][e] for e in avail), reverse=True)[: min(caps[i], budget_left)]
+            if sum(tops) < needs[i] - 1e-12:
+                return False
+        return True
+
+    def go(k, avail, budget_left, acc):
+        if k == len(order):
+            return acc
+        i = order[k]
+        need = needs[i]
+        if need <= 0:
+            return go(k + 1, avail, budget_left, acc)
+        if not feasible_tail(k, avail, budget_left):
+            return None
+        row = loads[i]
+        cands = sorted((e for e in avail if row[e] > 0), key=lambda e: -row[e])
+        for size in range(1, min(caps[i], budget_left, len(cands)) + 1):
+            if sum(row[e] for e in cands[:size]) < need - 1e-12:
+                continue
+            for subset in combinations(cands, size):
+                if sum(row[e] for e in subset) < need - 1e-12:
+                    continue
+                res = go(k + 1, avail - set(subset), budget_left - size, acc + [(i, subset)])
+                if res is not None:
+                    return res
+        return None
+
+    res = go(0, set(range(n)), min(ell, n), [])
+    if res is None:
+        return None
+    by_bucket = [()] * len(needs)
+    for i, subset in res:
+        by_bucket[i] = tuple(sorted(subset))
+    return tuple(by_bucket)
+
+
+def replay_walk(table, ell, eps):
+    # eptas_core's walk with each prefix decided by the recursive oracle, as
+    # before the frontiers; asserts that the prefix's frontier agrees and
+    # returns (prefixes checked, distinct sorted leaf keys over the candidates)
+    inv = ep.grid_inverse(eps)
+    gmax = inv * inv
+    sets = ep._MaskSets(len(table), min(ell, len(table)))
+    _, candidates = ep.estimate_value_candidates(table, ell, eps)
+    checked = leaf_keys = 0
+    for e_val in candidates:
+        step = eps * eps * e_val
+        loads = [[ep.bucket_load(acts, g * step) for acts in table] for g in range(gmax + 1)]
+        subsets = [sets.subsets(row) for row in loads]
+        feasible, leaves = {}, set()
+
+        def walk(m, i, bg, prefix, reach):
+            nonlocal checked
+            lo = inv - 1 if i % 2 == 1 else 0
+            if i == m - 1:
+                lo = max(lo, gmax - 1 - bg)
+            for dg in range(lo, gmax + 1):
+                desc = prefix + ((bg, dg, i % 2 == 1),)
+                key = tuple(sorted(desc))
+                if key not in feasible:
+                    plan = ep.BucketPlan(
+                        jump_flags=tuple(j for _, _, j in key),
+                        base_guess=tuple(b * step for b, _, _ in key),
+                        delta_guess=tuple(d * step for _, d, _ in key),
+                    )
+                    feasible[key] = recursive_bucket_ip(plan, [loads[b] for b, _, _ in key], ell) is not None
+                reach_next = sets.extend(reach, sets.choices(subsets[bg], dg * step, i % 2 == 1))
+                checked += 1
+                assert (reach_next != 0) == feasible[key], (table, ell, e_val, desc)
+                if not feasible[key]:
+                    return
+                if i == m - 1:
+                    leaves.add(key)
+                    continue
+                for bg2 in {min(bg + dg, gmax), min(bg + dg + 1, gmax)}:
+                    walk(m, i + 1, bg2, desc, reach_next)
+
+        for K in range(inv + 1):
+            walk(2 * K + 1, 0, 0, (), 1)
+        leaf_keys += len(leaves)
+    return checked, leaf_keys
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(bucket_programs())
+def test_solve_bucket_ip_matches_recursive_oracle(program):
+    plan, loads, ell, _ = program
+    assert ep.solve_bucket_ip(plan, loads, ell) == recursive_bucket_ip(plan, loads, ell)
+
+
+def criterion_9_stars(count):
+    # the first stars of test_criterion_9_star_eptas's family
+    for seed in range(90_001, 90_001 + count):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        n_a = int(rng.integers(1, 3))
+        ell = int(rng.integers(1, n + 1))
+        yield table_of(random_instance(seed, n, 1, n_a, patience_range=(ell,))), ell
+
+
+def test_frontier_matches_oracle_on_walk_prefixes():
+    # every prefix the walk checks, on the first 30 stars of the criterion-9
+    # family and the first 50 behind tests/golden/star_opt_core_pins.json;
+    # the replay checks exactly the prefixes eptas_core counts
+    stars = [*criterion_9_stars(30), *(random_star_table(seed) for seed in range(50))]
+    for table, ell in stars:
+        checked, _ = replay_walk(table, ell, 0.5)
+        assert checked == ep.eptas_core(table, ell, 0.5)[3]["guesses_tried"], (table, ell)
+
+
+def test_edge_limit_refused_promptly():
+    # past MAX_EDGES the frontiers would hold 2^n masks each: the star is
+    # refused before any frontier or LP is built
+    assert ep.MAX_EDGES >= 12
+    inst = random_instance(5, ep.MAX_EDGES + 1, 1, 1, patience_range=(3,))
+    t0 = time.monotonic()
+    with pytest.raises(BudgetExceeded):
+        ep.eptas(inst, 0.5)
+    assert time.monotonic() - t0 < 1.0
+    plan = ep.BucketPlan(jump_flags=(False,), base_guess=(0.0,), delta_guess=(1.0,))
+    with pytest.raises(BudgetExceeded):
+        ep.solve_bucket_ip(plan, [[1.0] * (ep.MAX_EDGES + 1)], 3)
