@@ -186,7 +186,7 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
         threshold=threshold,
         passed=passed,
         n_columns=n_columns,
-        rewards=[float(x) for x in rewards],
+        rewards=rewards.tolist(),
     )
     if cfg.out:
         write_artifacts(result, cfg.out)

@@ -1,3 +1,6 @@
+import dataclasses
+import time
+
 import numpy as np
 import pytest
 
@@ -81,6 +84,35 @@ def test_edge_lp_relaxes_dp():
 
 
 # ---- config enumeration ----
+
+
+@pytest.mark.parametrize(
+    "seed, n_a, patience, all_equal",
+    [(1, 2, 2, False), (2, 2, 2, False), (1, 3, 3, True)],
+    ids=["seed1-20x20x2", "seed2-20x20x2", "all-equal-20x20x3"],
+)
+def test_edge_lp_at_20x20_solves_quickly(monkeypatch, seed, n_a, patience, all_equal):
+    from qcmatch import simplex
+
+    inst = random_instance(seed, 20, 20, n_a, patience_range=(patience,))
+    if all_equal:  # every q and r equal: a highly degenerate LP
+        inst = dataclasses.replace(inst, q=dict.fromkeys(inst.q, 0.5), r=dict.fromkeys(inst.r, 0.5))
+    solved = []
+    solve = simplex.solve_packing_lp
+
+    def keeping(c, A, b, **kwargs):
+        res = solve(c, A, b, **kwargs)
+        solved.append((c, A, b, res))
+        return res
+
+    monkeypatch.setattr(simplex, "solve_packing_lp", keeping)
+    start = time.perf_counter()
+    res = solve_edge_lp(inst)
+    assert time.perf_counter() - start < 10.0
+    (c, A, b, lp_res), = solved
+    assert A.shape == (480, 400 * n_a)  # every row: matching, patience, edge
+    assert simplex.check_kkt(c, A, b, lp_res)["ok"]
+    assert res.value == lp_res.value
 
 
 def test_enumerate_counts():
