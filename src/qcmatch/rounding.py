@@ -50,8 +50,9 @@ class _Compiled:
     row. `cum[v]` holds v's cumulative plan weights padded with +inf, so
     the number of thresholds at or below a uniform u is the index of the
     first threshold above it; `plan_id[v, k]` maps that index to a plan
-    (k = number of v's plans gives plan 0). Plan positions are padded to
-    the longest plan and `plan_len` says how many are real.
+    (k = number of v's plans gives plan 0). Plan positions are padded to the
+    longest plan, `plan_len` says how many are real, and `plan_q`, `plan_b`
+    give each position's success and attenuation probabilities.
     """
 
     def __init__(self, inst: Instance, sol: LpSolution, policy: str):
@@ -71,13 +72,23 @@ class _Compiled:
         for (e, a), q in inst.q.items():
             self.q_mat[self.e_index[e], self.a_index[a]] = q
 
-        # per-v sampled-plan tables
+        # offline-side scheme state: attenuation probability per (u, v),
+        # read by the full policy only; patience 0 never queries
+        self.rem_init = _budgets(inst, self.u_list)
+        b_mat = np.ones((len(self.u_list), len(self.v_list)))
+        if policy in ("full", "greedy"):
+            inputs = scheme_inputs(inst, sol)  # validates the marginals
+            if policy == "full":
+                for u, inp in inputs.items():
+                    b_mat[self.u_index[u]] = ct.attenuation_probs(inp)
+
+        # per-v sampled-plan tables, each plan checked as `_chunk_draws` needs
         per_v = []
         for v in self.v_list:
             cfgs = [(cfg, w) for cfg, w in sol.weights.items() if cfg.v == v and w > 0]
             for cfg, _ in cfgs:
-                if len(cfg) > inst.patience[v]:
-                    raise ValueError(f"plan at {v} longer than patience")
+                if len(cfg) > inst.patience[v] or len(set(cfg.edges)) != len(cfg) or any(e[1] != v for e in cfg.edges):
+                    raise ValueError(f"plan at {v} longer than patience, repeating an edge or leaving {v}")
             if sum(w for _, w in cfgs) > 1.0 + 1e-9:
                 raise ValueError(f"plan weights at {v} exceed 1")
             per_v.append(cfgs)
@@ -88,31 +99,23 @@ class _Compiled:
         for vi, cfgs in enumerate(per_v):
             self.cum[vi, : len(cfgs)] = np.cumsum([w for _, w in cfgs])
             self.plan_id[vi, : len(cfgs)] = np.arange(len(cfg_list) + 1, len(cfg_list) + 1 + len(cfgs))
-            cfg_list.extend(cfg for cfg, _ in cfgs)
+            cfg_list.extend((vi, cfg) for cfg, _ in cfgs)
         n_p = len(cfg_list) + 1
-        self.plan_len = np.array([0] + [len(cfg) for cfg in cfg_list], dtype=np.int64)
-        self.plan_cfg = [None] + [cfg if len(cfg) else None for cfg in cfg_list]
+        self.plan_len = np.array([0] + [len(cfg) for _, cfg in cfg_list], dtype=np.int64)
+        self.plan_cfg = [None] + [cfg if len(cfg) else None for _, cfg in cfg_list]
         width = int(self.plan_len.max())
         self.plan_u = np.zeros((n_p, width), dtype=np.int64)
         self.plan_e = np.zeros((n_p, width), dtype=np.int64)
         self.plan_a = np.zeros((n_p, width), dtype=np.int64)
         self.plan_r = np.zeros((n_p, width))
-        for pid, cfg in enumerate(cfg_list, start=1):
+        self.plan_b = np.zeros((n_p, width))
+        for pid, (vi, cfg) in enumerate(cfg_list, start=1):
             for j, (e, a) in enumerate(zip(cfg.edges, cfg.actions)):
-                self.plan_u[pid, j] = self.u_index[e[0]]
-                self.plan_e[pid, j] = self.e_index[e]
-                self.plan_a[pid, j] = self.a_index[a]
+                ui, ei, ai = self.u_index[e[0]], self.e_index[e], self.a_index[a]
+                self.plan_u[pid, j], self.plan_e[pid, j], self.plan_a[pid, j] = ui, ei, ai
                 self.plan_r[pid, j] = inst.r_of(e, a)
-
-        # offline-side scheme state: attenuation probability per (u, v),
-        # read by the full policy only; patience 0 never queries
-        self.rem_init = _budgets(inst, self.u_list)
-        self.b_mat = np.ones((len(self.u_list), len(self.v_list)))
-        if policy in ("full", "greedy"):
-            inputs = scheme_inputs(inst, sol)  # validates the marginals
-            if policy == "full":
-                for u, inp in inputs.items():
-                    self.b_mat[self.u_index[u]] = ct.attenuation_probs(inp)
+                self.plan_b[pid, j] = b_mat[ui, vi]
+        self.plan_q = self.q_mat[self.plan_e, self.plan_a]  # padding never read
 
 
 def _budgets(inst: Instance, vertices) -> np.ndarray:
@@ -139,25 +142,22 @@ def scheme_inputs(inst: Instance, sol: LpSolution) -> dict:
 
 def _chunk_draws(comp: _Compiled, seed: int, chunk_idx: int, count: int):
     n_v = len(comp.v_list)
-    n_e, n_a = comp.q_mat.shape
     perm_rng = stream_rng(seed, "permutation", chunk_idx)
     keys = perm_rng.uniform(size=(count, n_v))
     perms = np.argsort(keys, axis=1)
     cfg_rng = stream_rng(seed, "config-sampling", chunk_idx)
     u_cfg = cfg_rng.uniform(size=(count, n_v))
-    q_rng = stream_rng(seed, "q-bits", chunk_idx)
-    q_bits = q_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
-    # relaxed never passes, so it reads no simulated bit; greedy's
-    # attenuation bits are all 1. Streams are keyed by name, so skipping
-    # one leaves the others' draws as they are.
-    qt_bits = b_bits = None
+    # one uniform per (trial, arrival rank, plan position): a trial reaches
+    # each (edge, action) and (u, v) at most once. Relaxed reads no simulated
+    # bit, greedy no attenuation bit; skipping a stream keeps the others.
+    shape = (count, n_v, comp.plan_u.shape[1])
+    q_u = stream_rng(seed, "q-bits", chunk_idx).uniform(size=shape)
+    qt_u = b_u = None
     if comp.policy != "relaxed":
-        qt_rng = stream_rng(seed, "qtilde-bits", chunk_idx)
-        qt_bits = qt_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
+        qt_u = stream_rng(seed, "qtilde-bits", chunk_idx).uniform(size=shape)
     if comp.policy == "full":
-        b_rng = stream_rng(seed, "attenuation-bits", chunk_idx)
-        b_bits = b_rng.uniform(size=(count, len(comp.u_list), n_v)) < comp.b_mat[None]
-    return perms, u_cfg, q_bits, qt_bits, b_bits
+        b_u = stream_rng(seed, "attenuation-bits", chunk_idx).uniform(size=shape)
+    return perms, u_cfg, q_u, qt_u, b_u
 
 
 def _walk_chunk(comp: _Compiled, draws, sug=None, log=None) -> np.ndarray:
@@ -168,13 +168,13 @@ def _walk_chunk(comp: _Compiled, draws, sug=None, log=None) -> np.ndarray:
     a one-trial chunk, `log` (a dict) receives the chosen plan per online
     vertex under "chosen" and the QueryEvents in order under "events".
     """
-    perms, u_cfg, q_bits, qt_bits, b_bits = draws
+    perms, u_cfg, q_u, qt_u, b_u = draws
     c = perms.shape[0]
-    n_a = comp.q_mat.shape[1]
+    n_u, n_a = len(comp.u_list), comp.q_mat.shape[1]
     relaxed = comp.policy == "relaxed"
     reward = np.zeros(c)
-    rem = np.tile(comp.rem_init, (c, 1))
-    u_matched = np.zeros((c, len(comp.u_list)), dtype=bool)
+    rem = np.tile(comp.rem_init, c)  # flat over trial x offline vertex
+    u_matched = np.zeros(c * n_u, dtype=bool)
     all_t = np.arange(c)
     for rank in range(perms.shape[1]):
         vi = perms[:, rank]
@@ -185,35 +185,35 @@ def _walk_chunk(comp: _Compiled, draws, sug=None, log=None) -> np.ndarray:
         t = all_t
         for j in range(comp.plan_u.shape[1]):
             keep = comp.plan_len[pid] > j
-            t, vi, pid = t[keep], vi[keep], pid[keep]
+            t, pid = t[keep], pid[keep]
             if not t.size:
                 break
-            ui, ei, ai = comp.plan_u[pid, j], comp.plan_e[pid, j], comp.plan_a[pid, j]
+            slot = t * n_u + comp.plan_u[pid, j]
             if sug is not None:
-                sug += np.bincount(ei * n_a + ai, minlength=sug.size)
+                sug += np.bincount(comp.plan_e[pid, j] * n_a + comp.plan_a[pid, j], minlength=sug.size)
             # a query consults the real success bit, a pass the simulated
             # one; either bit set ends the plan, and only a query pays
             if relaxed:
                 b = None
                 query = np.ones(t.size, dtype=bool)
-                bit = q_bits[t, ei, ai]
+                bit = q_u[t, rank, j] < comp.plan_q[pid, j]
             else:
-                b = np.ones(t.size, dtype=bool) if b_bits is None else b_bits[t, ui, vi]
-                query = b & ~u_matched[t, ui] & (rem[t, ui] > 0)
-                rem[t[query], ui[query]] -= 1
-                bit = np.where(query, q_bits[t, ei, ai], qt_bits[t, ei, ai])
+                b = np.ones(t.size, dtype=bool) if b_u is None else b_u[t, rank, j] < comp.plan_b[pid, j]
+                query = b & ~u_matched[slot] & (rem[slot] > 0)
+                rem[slot[query]] -= 1
+                bit = np.where(query, q_u[t, rank, j], qt_u[t, rank, j]) < comp.plan_q[pid, j]
             won = query & bit
             reward[t[won]] += comp.plan_r[pid[won], j]
-            u_matched[t[won], ui[won]] = True
+            u_matched[slot[won]] = True
             if log is not None:
                 log["events"].append(
                     QueryEvent(
-                        v=comp.v_list[vi[0]], position=j, edge=comp.edge_list[ei[0]],
-                        action=comp.a_list[ai[0]], decision="query" if query[0] else "pass",
+                        v=comp.v_list[vi[0]], position=j, edge=comp.edge_list[comp.plan_e[pid[0], j]],
+                        action=comp.a_list[comp.plan_a[pid[0], j]], decision="query" if query[0] else "pass",
                         b_bit=None if b is None else int(b[0]), bit=int(bit[0]), success=bool(won[0]),
                     )
                 )
-            t, vi, pid = t[~bit], vi[~bit], pid[~bit]
+            t, pid = t[~bit], pid[~bit]
     return reward
 
 

@@ -2,6 +2,7 @@ import math
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from qcmatch import contention as ct
 from qcmatch import rng
@@ -9,7 +10,15 @@ from qcmatch import rounding as rd
 from qcmatch.exact import opt_dp
 from qcmatch.harness import guarantee_ratio
 from qcmatch.instances import INFINITE, make_instance, random_instance
-from qcmatch.lp import solve_edge_lp, solve_lp_c_colgen, solve_lp_c_explicit
+from qcmatch.lp import (
+    Config,
+    LpSolution,
+    edge_marginals,
+    make_config,
+    solve_edge_lp,
+    solve_lp_c_colgen,
+    solve_lp_c_explicit,
+)
 from qcmatch.numerics import ONE_MINUS_INV_E
 
 
@@ -118,8 +127,6 @@ def test_greedy_round_guarantee():
 def test_full_beats_greedy_on_heavy_blocker_fixture():
     # one offline vertex with patience 2: a heavy low-reward edge plus many
     # light high-reward edges; greedy lets the heavy edge hog the budget
-    from qcmatch.lp import LpSolution, edge_marginals, make_config
-
     U = ["u"]
     V = [f"v{i}" for i in range(6)]
     q = {(("u", "v0"), "a"): 0.9}
@@ -189,21 +196,22 @@ def test_simulate_deterministic_in_seed():
     assert np.array_equal(r1, r2)
 
 
-# Fixed-seed outputs recorded with the one-trial-at-a-time simulators that
-# the lockstep walkers replaced; any change to the draw layout, the
-# substream names or the query rule moves them.
+# Fixed-seed outputs. The rounding pins come from the simulators' draws of
+# one uniform per (trial, arrival rank, plan position); the edge-LP and
+# selectability pins from code that those draws left alone. Any change to
+# the draw layout, the substream names or the query rule moves them.
 _PINNED_SIM = {
     "full": (
-        5543.518786554003,
-        [0, 737, 0, 4246, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3036, 3351, 0],
+        5547.889448406339,
+        [0, 734, 0, 4231, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 2989, 3351, 0],
     ),
     "greedy": (
-        7092.0476077757285,
-        [0, 736, 0, 4245, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3070, 3351, 0],
+        7065.326255646491,
+        [0, 759, 0, 4229, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3013, 3351, 0],
     ),
     "relaxed": (
-        8648.997207075354,
-        [0, 726, 0, 4240, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3069, 3351, 0],
+        8616.045219872056,
+        [0, 741, 0, 4231, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3011, 3351, 0],
     ),
 }
 _PINNED_EDGE_LP = 6713.961604922974
@@ -289,3 +297,135 @@ def test_simulate_chunk_memory_ceiling():
     finally:
         tracemalloc.stop()
     assert peak < 40e6, peak / 1e6
+
+
+def test_simulate_chunk_memory_ceiling_at_a_thousand_edges():
+    # 32 x 32 x 2 at patience 2 (|E| = 1,024) under four length-2 plans per
+    # online vertex: the draws grow with the plan positions, not with |E| x |A|
+    n = 32
+    U, V, A = [f"u{i}" for i in range(n)], [f"v{j}" for j in range(n)], ["a0", "a1"]
+    q = {((u, v), a): 0.25 for u in U for v in V for a in A}
+    r = {((u, v), a): 1.0 for u in U for v in V for a in A}
+    inst = make_instance(U, V, A, q, r, {s: 2 for s in U + V})
+    weights = {}
+    for j, v in enumerate(V):
+        for k in range(4):
+            edges = [(U[(j + k) % n], v), (U[(j + k + 1) % n], v)]
+            weights[make_config(inst, v, edges, [A[k % 2]] * 2)] = 0.25
+    sol = LpSolution(weights=weights, objective=sum(c.value * w for c, w in weights.items()),
+                     marginals=edge_marginals(weights, inst))
+    tracemalloc.start()
+    try:
+        rd.simulate(sol, inst, "full", 8192, seed=4, count_suggestions=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6, peak / 1e6
+
+
+def test_plans_that_repeat_an_edge_or_leave_their_vertex_are_refused():
+    # make_config refuses a repeated edge, but a Config built by hand does
+    # not; a trial would then reach one pair at two plan positions, which
+    # the per-position draws treat as independent
+    inst = random_instance(3, 2, 2, 1, patience_range=(2,))
+    for edges in ((("u0", "v0"), ("u0", "v0")), (("u0", "v0"), ("u1", "v1"))):
+        sol = LpSolution(weights={Config(v="v0", edges=edges, actions=("a0", "a0")): 0.5},
+                         objective=0.0, marginals={})
+        for policy in ("full", "greedy", "relaxed"):
+            with pytest.raises(ValueError, match="repeating an edge or leaving v0"):
+                rd.simulate(sol, inst, policy, 10, seed=1)
+
+
+# The simulators' draws before they drew only at the plan positions a trial
+# reaches: a real and a simulated success bit per (trial, edge, action) and
+# an attenuation bit per (trial, U, V), walked by the same query rule. Kept
+# as the oracle of the law of the per-position draws.
+def _oracle_chunk_draws(comp, b_mat, seed, chunk_idx, count):
+    n_v = len(comp.v_list)
+    n_e, n_a = comp.q_mat.shape
+    perm_rng = rng.stream_rng(seed, "permutation", chunk_idx)
+    keys = perm_rng.uniform(size=(count, n_v))
+    perms = np.argsort(keys, axis=1)
+    cfg_rng = rng.stream_rng(seed, "config-sampling", chunk_idx)
+    u_cfg = cfg_rng.uniform(size=(count, n_v))
+    q_rng = rng.stream_rng(seed, "q-bits", chunk_idx)
+    q_bits = q_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
+    qt_bits = b_bits = None
+    if comp.policy != "relaxed":
+        qt_rng = rng.stream_rng(seed, "qtilde-bits", chunk_idx)
+        qt_bits = qt_rng.uniform(size=(count, n_e, n_a)) < comp.q_mat[None]
+    if comp.policy == "full":
+        b_rng = rng.stream_rng(seed, "attenuation-bits", chunk_idx)
+        b_bits = b_rng.uniform(size=(count, len(comp.u_list), n_v)) < b_mat[None]
+    return perms, u_cfg, q_bits, qt_bits, b_bits
+
+
+def _oracle_walk_chunk(comp, draws, sug):
+    perms, u_cfg, q_bits, qt_bits, b_bits = draws
+    c = perms.shape[0]
+    n_a = comp.q_mat.shape[1]
+    relaxed = comp.policy == "relaxed"
+    reward = np.zeros(c)
+    rem = np.tile(comp.rem_init, (c, 1))
+    u_matched = np.zeros((c, len(comp.u_list)), dtype=bool)
+    all_t = np.arange(c)
+    for rank in range(perms.shape[1]):
+        vi = perms[:, rank]
+        pick = (comp.cum[vi] <= u_cfg[all_t, vi][:, None]).sum(axis=1)
+        pid = comp.plan_id[vi, pick]
+        t = all_t
+        for j in range(comp.plan_u.shape[1]):
+            keep = comp.plan_len[pid] > j
+            t, vi, pid = t[keep], vi[keep], pid[keep]
+            if not t.size:
+                break
+            ui, ei, ai = comp.plan_u[pid, j], comp.plan_e[pid, j], comp.plan_a[pid, j]
+            sug += np.bincount(ei * n_a + ai, minlength=sug.size)
+            if relaxed:
+                query = np.ones(t.size, dtype=bool)
+                bit = q_bits[t, ei, ai]
+            else:
+                b = np.ones(t.size, dtype=bool) if b_bits is None else b_bits[t, ui, vi]
+                query = b & ~u_matched[t, ui] & (rem[t, ui] > 0)
+                rem[t[query], ui[query]] -= 1
+                bit = np.where(query, q_bits[t, ei, ai], qt_bits[t, ei, ai])
+            won = query & bit
+            reward[t[won]] += comp.plan_r[pid[won], j]
+            u_matched[t[won], ui[won]] = True
+            t, vi, pid = t[~bit], vi[~bit], pid[~bit]
+    return reward
+
+
+def _oracle_simulate(sol, inst, policy, trials, seed):
+    comp = rd._Compiled(inst, sol, policy)
+    b_mat = np.ones((len(inst.U), len(inst.V)))
+    if policy == "full":
+        for u, inp in rd.scheme_inputs(inst, sol).items():
+            b_mat[comp.u_index[u]] = ct.attenuation_probs(inp)
+    sug = np.zeros(comp.q_mat.size, dtype=np.int64)
+    rewards = np.concatenate([
+        _oracle_walk_chunk(comp, _oracle_chunk_draws(comp, b_mat, seed, k, c), sug)
+        for k, _, c in rng.chunks(trials)
+    ])
+    return rewards, sug
+
+
+def test_per_position_draws_match_the_per_edge_oracle_in_law():
+    # offline patience 0, 1, 2 and unbounded across the three instances; the
+    # seeds were fixed before any result was seen. The two layouts share no
+    # seeded value, so the rewards' means and every (edge, action)'s
+    # suggestion frequency are compared by their sampling error.
+    trials = 200_000
+    for s in (103, 104, 109):
+        inst = random_instance(s, 3, 4, 2, patience_range=(0, 1, 2, INFINITE))
+        sol = solved(inst)
+        for policy in ("full", "greedy", "relaxed"):
+            new, counts = rd.simulate(sol, inst, policy, trials, seed=7000 + s, count_suggestions=True)
+            new_sug = np.array([counts.get((e, a), 0) for e in inst.edges() for a in inst.A])
+            old, old_sug = _oracle_simulate(sol, inst, policy, trials, seed=8000 + s)
+            se = math.sqrt((new.var(ddof=1) + old.var(ddof=1)) / trials)
+            assert abs(new.mean() - old.mean()) <= 5 * se + 1e-12, (s, policy, new.mean(), old.mean())
+            pooled = (new_sug + old_sug) / (2 * trials)
+            se = np.sqrt(pooled * (1 - pooled) * 2 / trials)
+            gap = np.abs(new_sug - old_sug) / trials
+            assert np.all(gap <= 5 * se + 1e-12), (s, policy, new_sug, old_sug)
