@@ -4,8 +4,8 @@ marginals, and the star-problem pricing step.
 The configuration LP has one variable per ordered query plan at an online
 vertex; its optimum upper-bounds the optimal policy and its marginals are
 what the rounding policies consume. Column generation prices plans against
-the duals with the exact star oracle (or the approximation scheme), adding
-plans until none beats its vertex's dual price.
+the duals with the exact star oracle, adding plans until none beats its
+vertex's dual price.
 """
 
 from __future__ import annotations
@@ -294,34 +294,18 @@ def _priced_action_table(inst: Instance, v: str, duals: DualPrices):
     return table, kept
 
 
-def price_best_config(
-    inst: Instance,
-    v: str,
-    duals: DualPrices,
-    mode: str = "exact",
-    eps: float | None = None,
-):
-    """Best reduced-value plan at v against dual prices.
+def price_best_config(inst: Instance, v: str, duals: DualPrices):
+    """Best reduced-value plan at v against dual prices, by the exact star
+    search.
 
     Returns (config or None, reduced value). With every reduced reward
     clamped to zero the empty plan wins and the reduced value is 0, which is
-    the column-generation termination signal. Exact mode runs the exact
-    star search; the approximate mode calls the star approximation scheme
-    (factor 1 - eps).
+    the column-generation termination signal.
     """
     table, kept = _priced_action_table(inst, v, duals)
     if not table:
         return None, 0.0
-    if mode == "exact":
-        value, order, actions = star_opt_core(table, inst.patience[v])
-    elif mode == "eptas":
-        from .eptas import eptas_core
-
-        if eps is None:
-            raise ValueError("eps required for approximate pricing")
-        value, order, actions, _ = eptas_core(table, inst.patience[v], eps)
-    else:
-        raise ValueError(f"unknown pricing mode {mode!r}")
+    value, order, actions = star_opt_core(table, inst.patience[v])
     if value <= 0.0 or not order:
         return None, 0.0
     cfg = make_config(inst, v, [kept[i] for i in order], actions)
@@ -340,18 +324,18 @@ def reduced_value(inst: Instance, cfg: Config, duals: DualPrices) -> float:
 def solve_lp_c_colgen(
     inst: Instance,
     eps: float = 0.01,
-    mode: str = "exact",
     iteration_limit: int = 10000,
 ) -> LpSolution:
     """Column generation for the configuration LP.
 
     Starts from the empty master, whose duals are zero, and alternates
-    pricing with master solves until no plan's reduced value beats its
-    vertex's dual price by more than the tolerance. With exact pricing the
-    returned weights are optimal up to tolerances; with approximate pricing
-    the value is within factor (1 - eps). The termination duals certify
-    feasibility of the eps-relaxed dual system either way (pricing values
-    bound every plan's reduced value from above).
+    exact pricing with master solves until no plan's reduced value beats
+    its vertex's dual price by more than the tolerance, so the returned
+    weights are optimal up to tolerances. `eps` in (0, 1) is the tolerance
+    callers check the result against: the value is within factor
+    (1 - eps) of the explicit LP, and the termination duals are feasible
+    for the eps-relaxed dual system (pricing values bound every plan's
+    reduced value from above).
     """
     if not 0.0 < eps < 1.0:
         raise ValueError("eps must lie in (0, 1)")
@@ -361,7 +345,7 @@ def solve_lp_c_colgen(
     while True:
         improved = False
         for v in inst.V:
-            cfg, val = price_best_config(inst, v, duals, mode=mode, eps=eps)
+            cfg, val = price_best_config(inst, v, duals)
             if cfg is None:
                 continue
             if val > duals.beta.get(v, 0.0) + _PRICING_TOL:

@@ -40,7 +40,7 @@ class RunOutcome:
     permutation: tuple
     chosen: dict  # v -> Config | None
     events: list = field(default_factory=list)
-    mode: str = "full"
+    policy: str = "full"
 
 
 class _Compiled:
@@ -147,17 +147,16 @@ def _chunk_draws(comp: _Compiled, seed: int, chunk_idx: int, count: int):
     perms = np.argsort(keys, axis=1)
     cfg_rng = stream_rng(seed, "config-sampling", chunk_idx)
     u_cfg = cfg_rng.uniform(size=(count, n_v))
-    # one uniform per (trial, arrival rank, plan position): a trial reaches
-    # each (edge, action) and (u, v) at most once. Relaxed reads no simulated
-    # bit, greedy no attenuation bit; skipping a stream keeps the others.
+    # one success uniform per (trial, arrival rank, plan position), real on a
+    # query and simulated on a pass: a trial reaches each (edge, action) and
+    # (u, v) at most once, and its query decision there ignores that uniform.
+    # Only full draws attenuation bits; skipping that stream keeps the others.
     shape = (count, n_v, comp.plan_u.shape[1])
     q_u = stream_rng(seed, "q-bits", chunk_idx).uniform(size=shape)
-    qt_u = b_u = None
-    if comp.policy != "relaxed":
-        qt_u = stream_rng(seed, "qtilde-bits", chunk_idx).uniform(size=shape)
+    b_u = None
     if comp.policy == "full":
         b_u = stream_rng(seed, "attenuation-bits", chunk_idx).uniform(size=shape)
-    return perms, u_cfg, q_u, qt_u, b_u
+    return perms, u_cfg, q_u, b_u
 
 
 def _walk_chunk(comp: _Compiled, draws, sug=None, log=None) -> np.ndarray:
@@ -168,7 +167,7 @@ def _walk_chunk(comp: _Compiled, draws, sug=None, log=None) -> np.ndarray:
     a one-trial chunk, `log` (a dict) receives the chosen plan per online
     vertex under "chosen" and the QueryEvents in order under "events".
     """
-    perms, u_cfg, q_u, qt_u, b_u = draws
+    perms, u_cfg, q_u, b_u = draws
     c = perms.shape[0]
     n_u, n_a = len(comp.u_list), comp.q_mat.shape[1]
     relaxed = comp.policy == "relaxed"
@@ -191,17 +190,16 @@ def _walk_chunk(comp: _Compiled, draws, sug=None, log=None) -> np.ndarray:
             slot = t * n_u + comp.plan_u[pid, j]
             if sug is not None:
                 sug += np.bincount(comp.plan_e[pid, j] * n_a + comp.plan_a[pid, j], minlength=sug.size)
-            # a query consults the real success bit, a pass the simulated
-            # one; either bit set ends the plan, and only a query pays
+            # the success bit is real on a query and simulated on a pass;
+            # either way a set bit ends the plan, and only a query pays
             if relaxed:
                 b = None
                 query = np.ones(t.size, dtype=bool)
-                bit = q_u[t, rank, j] < comp.plan_q[pid, j]
             else:
                 b = np.ones(t.size, dtype=bool) if b_u is None else b_u[t, rank, j] < comp.plan_b[pid, j]
                 query = b & ~u_matched[slot] & (rem[slot] > 0)
                 rem[slot[query]] -= 1
-                bit = np.where(query, q_u[t, rank, j], qt_u[t, rank, j]) < comp.plan_q[pid, j]
+            bit = q_u[t, rank, j] < comp.plan_q[pid, j]
             won = query & bit
             reward[t[won]] += comp.plan_r[pid[won], j]
             u_matched[slot[won]] = True
@@ -223,6 +221,9 @@ def run_once(sol: LpSolution, inst: Instance, seed: int, policy: str = "full", t
     "relaxed" queries every reached position (one-sided matching); "full"
     guards each query with the offline vertex's scheme and outputs a proper
     two-sided matching; "greedy" is "full" with attenuation forced to 1.
+    Each reached position reads one success uniform, as the real bit on a
+    query and the simulated bit on a pass, so at one (seed, trial) the three
+    policies reach the same positions with the same bits.
     """
     comp = _Compiled(inst, sol, policy)
     draws = _chunk_draws(comp, seed, trial, 1)
@@ -235,7 +236,7 @@ def run_once(sol: LpSolution, inst: Instance, seed: int, policy: str = "full", t
         permutation=tuple(comp.v_list[i] for i in draws[0][0]),
         chosen=log["chosen"],
         events=events,
-        mode=policy,
+        policy=policy,
     )
 
 
@@ -350,7 +351,7 @@ def audit_outcome(outcome: RunOutcome, sol: LpSolution, inst: Instance) -> list:
     the scheme rule, plans must be consumed in order, patience and matching
     must hold, and the reward must equal the matched rewards."""
     out = []
-    mode = outcome.mode
+    policy = outcome.policy
     rem = {u: inst.patience[u] for u in inst.U}
     rem_v = {v: inst.patience[v] for v in inst.V}
     u_matched = set()
@@ -375,16 +376,16 @@ def audit_outcome(outcome: RunOutcome, sol: LpSolution, inst: Instance) -> list:
             out.append(f"event does not match the chosen plan at {v}")
         if ev.edge in queried_edges and ev.decision == "query":
             out.append(f"edge {ev.edge} queried twice")
-        if mode == "relaxed":
+        if policy == "relaxed":
             should_query = True
         else:
-            b = bool(ev.b_bit) if mode == "full" else True
+            b = bool(ev.b_bit) if policy == "full" else True
             should_query = b and u not in u_matched and rem[u] > 0
         if (ev.decision == "query") != should_query:
             out.append(f"decision at {ev.edge} contradicts the scheme rule")
         if ev.decision == "query":
             queried_edges.add(ev.edge)
-            if mode != "relaxed":
+            if policy != "relaxed":
                 rem[u] -= 1
                 if rem[u] < 0:
                     out.append(f"patience of {u} violated")
@@ -392,7 +393,7 @@ def audit_outcome(outcome: RunOutcome, sol: LpSolution, inst: Instance) -> list:
                 out.append(f"patience of {v} violated")
             rem_v[v] -= 1
             if ev.success:
-                if mode != "relaxed":
+                if policy != "relaxed":
                     u_matched.add(u)
                 v_matched.add(v)
                 v_done.add(v)
@@ -413,6 +414,6 @@ def audit_outcome(outcome: RunOutcome, sol: LpSolution, inst: Instance) -> list:
         per_v[e[1]] = per_v.get(e[1], 0) + 1
     if any(c > 1 for c in per_v.values()):
         out.append("online vertex matched twice")
-    if mode != "relaxed" and any(c > 1 for c in per_u.values()):
+    if policy != "relaxed" and any(c > 1 for c in per_u.values()):
         out.append("offline vertex matched twice")
     return out

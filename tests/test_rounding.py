@@ -197,17 +197,20 @@ def test_simulate_deterministic_in_seed():
 
 
 # Fixed-seed outputs. The rounding pins come from the simulators' draws of
-# one uniform per (trial, arrival rank, plan position); the edge-LP and
-# selectability pins from code that those draws left alone. Any change to
-# the draw layout, the substream names or the query rule moves them.
+# one success uniform per (trial, arrival rank, plan position), read as the
+# real bit on a query and the simulated bit on a pass, plus the full
+# policy's attenuation uniform there. The three policies thus reach the same
+# positions and share one suggestion vector. The edge-LP and selectability
+# pins come from code that those draws left alone. Any change to the draw
+# layout, the substream names or the query rule moves them.
 _PINNED_SIM = {
     "full": (
-        5547.889448406339,
-        [0, 734, 0, 4231, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 2989, 3351, 0],
+        5562.198784522956,
+        [0, 741, 0, 4231, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3011, 3351, 0],
     ),
     "greedy": (
-        7065.326255646491,
-        [0, 759, 0, 4229, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3013, 3351, 0],
+        7067.0332744453935,
+        [0, 741, 0, 4231, 0, 0, 0, 5000, 0, 0, 0, 1649, 0, 0, 0, 3011, 3351, 0],
     ),
     "relaxed": (
         8616.045219872056,
@@ -244,14 +247,25 @@ def test_fixed_seed_outputs_reproduce(monkeypatch):
 
 
 def test_run_once_is_one_trial_of_simulate():
+    # every policy also walks the same positions with the same success bits
+    # at one (seed, trial), so their suggestion counts agree
+    policies = ("full", "greedy", "relaxed")
     for seed in range(70, 76):
         inst = random_instance(seed, 3, 3, 2, patience_range=(1, 2, INFINITE))
         sol = solved(inst)
-        for policy in ("full", "greedy", "relaxed"):
+        for policy in policies:
             rewards, _ = rd.simulate(sol, inst, policy, trials=1, seed=seed)
             out = rd.run_once(sol, inst, seed=seed, policy=policy, trial=0)
             assert out.reward == rewards[0], (seed, policy)
             assert rd.audit_outcome(out, sol, inst) == [], (seed, policy)
+        for trial in range(4):
+            walks = [
+                [(ev.v, ev.position, ev.bit) for ev in rd.run_once(sol, inst, seed=seed, policy=p, trial=trial).events]
+                for p in policies
+            ]
+            assert walks[0] == walks[1] == walks[2], (seed, trial)
+        counts = [rd.simulate(sol, inst, p, 500, seed=seed, count_suggestions=True)[1] for p in policies]
+        assert counts[0] == counts[1] == counts[2], seed
 
 
 def test_chunk_walk_matches_single_trial_walks():
