@@ -153,7 +153,7 @@ def single_heavy_input(ell: int, x1: float = 0.8) -> ContentionInput:
     return make_input(("*",), ell, ps, xs)
 
 
-@dataclass
+@dataclass(slots=True)
 class SelectabilityRow:
     element: int
     action: object
@@ -176,11 +176,14 @@ def selection_bound(patience) -> float:
 def estimate_selectability(inp: ContentionInput, trials: int, seed: int) -> list[SelectabilityRow]:
     """Monte Carlo estimate of P[i queried via a | suggested via a].
 
-    Deterministic in (input, trials, seed). Trials run in fixed-size chunks
-    with all randomness pre-drawn per chunk from counter-keyed streams. The
-    query rule is the one `rounding._walk_chunk` applies at each offline
-    vertex; this walk steps every trial of a chunk in lockstep over the
-    arrival rank of one input's suggested elements.
+    Deterministic in (input, trials, seed). Trials run in fixed-size chunks,
+    each drawn from its own counter-keyed stream: one suggestion uniform per
+    (trial, element), then an arrival key, an attenuation uniform and a
+    state uniform per suggested (trial, element) pair only, since an
+    unsuggested element never reaches the walk. The query rule is the one
+    `rounding._walk_chunk` applies at each offline vertex; this walk steps
+    every trial of a chunk in lockstep over the arrival rank of one input's
+    suggested elements.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -194,40 +197,36 @@ def estimate_selectability(inp: ContentionInput, trials: int, seed: int) -> list
     for chunk_idx, _, c in chunks(trials):
         rng = stream_rng(seed, "prcrs-mc", chunk_idx)
         u_sug = rng.uniform(0.0, 1.0, (c, n))
-        ykey = rng.uniform(0.0, 1.0, (c, n))
-        u_b = rng.uniform(0.0, 1.0, (c, n))
-        u_p = rng.uniform(0.0, 1.0, (c, n))
+        # suggested (trial, element) pairs in trial-major order; the action
+        # is the number of the element's thresholds at or below its uniform
+        t_sug, i_sug = np.nonzero(u_sug < x_cum[:, -1])
+        u = u_sug[t_sug, i_sug]
+        del u_sug  # freed before the next chunk draws its own
+        a_sug = (x_cum[i_sug, :-1] <= u[:, None]).sum(axis=1)
+        ykey = rng.uniform(0.0, 1.0, u.size)
+        b_bits = rng.uniform(0.0, 1.0, u.size) < bprob[i_sug]
+        s_bits = rng.uniform(0.0, 1.0, u.size) < inp.p[i_sug, a_sug]
+        flat = i_sug * n_a + a_sug
+        cond += np.bincount(flat, minlength=n * n_a).reshape(n, n_a)
 
-        # suggested action index per (trial, element); -1 when none
-        if n_a == 1:
-            act = np.where(u_sug < x_cum[None, :, 0], 0, -1)
-        else:
-            act = np.full((c, n), -1, dtype=np.int64)
-            lo = np.zeros((1, n))
-            for k in range(n_a):
-                hi = x_cum[None, :, k]
-                act = np.where((u_sug >= lo) & (u_sug < hi), k, act)
-                lo = hi
-        sug_mask = act >= 0
-        b_bits = u_b < bprob[None, :]
-
-        # each trial's suggested elements in arrival order, stepped in
-        # lockstep over arrival rank; ties keep element order
-        order = np.argsort(np.where(sug_mask, ykey, np.inf), axis=1, kind="stable")
-        n_sug = sug_mask.sum(axis=1)
+        # each trial's suggested pairs in arrival order, stepped in lockstep
+        # over arrival rank through per-trial offsets; ties keep element order
+        order = np.argsort(t_sug + ykey, kind="stable")
+        n_sug = np.bincount(t_sug, minlength=c)
+        first = np.cumsum(n_sug) - n_sug
         budget = np.full(c, inp.patience, dtype=float)
         out = np.zeros(c, dtype=bool)
+        queried = np.zeros(u.size, dtype=bool)
         t = np.arange(c)
         for rank in range(int(n_sug.max(initial=0))):
             t = t[n_sug[t] > rank]
-            i = order[t, rank]
-            a = act[t, i]
-            cond += np.bincount(i * n_a + a, minlength=n * n_a).reshape(n, n_a)
-            query = ~out[t] & b_bits[t, i] & (budget[t] > 0)
-            tq, iq, aq = t[query], i[query], a[query]
-            hits += np.bincount(iq * n_a + aq, minlength=n * n_a).reshape(n, n_a)
+            k = order[first[t] + rank]
+            query = ~out[t] & b_bits[k] & (budget[t] > 0)
+            tq, kq = t[query], k[query]
+            queried[kq] = True
             budget[tq] -= 1
-            out[tq] = u_p[tq, iq] < inp.p[iq, aq]
+            out[tq] = s_bits[kq]
+        hits += np.bincount(flat[queried], minlength=n * n_a).reshape(n, n_a)
 
     bound = selection_bound(inp.patience)
     rows_out = []

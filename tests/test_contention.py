@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from qcmatch import contention as ct
-from qcmatch.instances import INFINITE
+from qcmatch.instances import INFINITE, is_infinite
 from qcmatch.numerics import BETA, ONE_MINUS_INV_E
 
 
@@ -139,3 +140,82 @@ def test_selectability_single_heavy_corner():
     inp = ct.single_heavy_input(3, x1=0.8)
     for r in ct.estimate_selectability(inp, 150_000, seed=40):
         assert r.estimate >= r.bound - 4 * r.std_error, r
+
+
+def exact_selectability(inp, nodes=None):
+    """P[i queried via a | i suggested via a] per element i, exactly.
+
+    Given i's arrival time y, each other element j is, independently,
+    reached before i and fails with probability y b_j sum_a x_ja (1 - p_ja),
+    reached before i and succeeds with y b_j sum_a x_ja p_ja, or neither;
+    i is queried iff it passes its own attenuation bit, fewer than the
+    patience failed and none succeeded. The integrand over y is a
+    polynomial of degree n - 1, so n // 2 + 2 Gauss-Legendre nodes
+    integrate it exactly. Unbounded patience counts no failures: the
+    integrand is the product of (1 - y b_j sum_a x_ja p_ja).
+    """
+    b = ct.attenuation_probs(inp)
+    succ = b * (inp.x * inp.p).sum(axis=1)
+    if is_infinite(inp.patience):
+        fail, ell = np.zeros(inp.n), 1
+    else:
+        fail, ell = b * (inp.x * (1.0 - inp.p)).sum(axis=1), inp.patience
+    y, w = np.polynomial.legendre.leggauss(nodes or inp.n // 2 + 2)
+    y, w = (y + 1.0) / 2.0, w / 2.0
+    # prob[i, node, k]: k of the elements before i failed and none succeeded
+    prob = np.zeros((inp.n, y.size, ell))
+    prob[:, :, 0] = 1.0
+    for j in range(inp.n):
+        f, s = y * fail[j], y * succ[j]
+        nxt = prob * (1.0 - f - s)[None, :, None]
+        nxt[:, :, 1:] += prob[:, :, :-1] * f[None, :, None]
+        nxt[j] = prob[j]
+        prob = nxt
+    return b * (prob.sum(axis=2) @ w)
+
+
+def test_exact_selectability_oracle():
+    # the closed form of test_selectability_two_element_closed_form
+    for ell, p, x, s in ((1, [0.0, 0.0], [0.5, 0.3], [1.0, 1.0]), (INFINITE, [1.0, 0.5], [0.7, 0.6], [1.0, 0.5])):
+        inp = ct.make_input(("*",), ell, p, x)
+        b = ct.attenuation_probs(inp)
+        expect = [b[i] * (1 - x[1 - i] * b[1 - i] * s[1 - i] / 2) for i in (0, 1)]
+        np.testing.assert_allclose(exact_selectability(inp), expect, rtol=0, atol=1e-15)
+    # the minima recorded with an independent prototype, and more nodes
+    # change nothing once the integrand is integrated exactly
+    for inp, minimum in (
+        (ct.poisson_regime_input(2), 0.632586),
+        (ct.poisson_regime_input(3), 0.632586),
+        (ct.poisson_regime_input(1), 0.632718),
+        (ct.poisson_regime_input(INFINITE), 0.632718),
+        (ct.single_heavy_input(3, x1=31 / 39), 0.678898),
+    ):
+        exact = exact_selectability(inp)
+        assert abs(exact.min() - minimum) <= 5e-7, (inp.patience, exact.min())
+        assert exact.min() >= ct.selection_bound(inp.patience)
+        np.testing.assert_allclose(exact_selectability(inp, inp.n // 2 + 6), exact, rtol=0, atol=1e-13)
+
+
+def test_selectability_matches_exact_oracle():
+    two_action = ct.make_input(("a0", "a1"), 2, [[1.0, 0.5], [0.2, 0.9], [0.0, 0.3]], [[0.3, 0.2], [0.1, 0.4], [0.5, 0.2]])
+    inputs = [ct.poisson_regime_input(ell) for ell in (1, 2, 3, INFINITE)]
+    inputs += [ct.single_heavy_input(3, x1=31 / 39), two_action]
+    for k, inp in enumerate(inputs):
+        exact = exact_selectability(inp)
+        for r in ct.estimate_selectability(inp, 200_000, seed=50 + k):
+            expect = exact[r.element]
+            se = math.sqrt(expect * (1 - expect) / r.trials_conditioned)
+            assert abs(r.estimate - expect) <= 5 * se, (inp.patience, r, expect)
+
+
+def test_selectability_chunk_memory_ceiling():
+    # 402 elements of which about three per trial are suggested: only the
+    # suggestion uniforms scale with trials x elements
+    inp = ct.poisson_regime_input(3, n1_elements=400)
+    tracemalloc.start()
+    try:
+        ct.estimate_selectability(inp, 8192, seed=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6, peak

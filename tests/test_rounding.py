@@ -200,9 +200,12 @@ def test_simulate_deterministic_in_seed():
 # one success uniform per (trial, arrival rank, plan position), read as the
 # real bit on a query and the simulated bit on a pass, plus the full
 # policy's attenuation uniform there. The three policies thus reach the same
-# positions and share one suggestion vector. The edge-LP and selectability
-# pins come from code that those draws left alone. Any change to the draw
-# layout, the substream names or the query rule moves them.
+# positions and share one suggestion vector. The edge-LP pin comes from code
+# that those draws left alone. The selectability pins come from the
+# estimator's draws: one suggestion uniform per (trial, element), then an
+# arrival key, an attenuation uniform and a state uniform per suggested pair
+# only. Any change to the draw layout, the substream names or the query rule
+# moves them.
 _PINNED_SIM = {
     "full": (
         5562.198784522956,
@@ -219,9 +222,9 @@ _PINNED_SIM = {
 }
 _PINNED_EDGE_LP = 6713.961604922974
 _PINNED_SELECTABILITY = {  # offline vertex -> [(element, action, queried, conditioned)]
-    "u0": [(0, "a1", 495, 742), (1, "a1", 2697, 4302)],
-    "u1": [(0, "a1", 3282, 5000), (2, "a1", 1113, 1656)],
-    "u2": [(1, "a1", 1909, 2998), (2, "a0", 2169, 3349)],
+    "u0": [(0, "a1", 483, 742), (1, "a1", 2717, 4302)],
+    "u1": [(0, "a1", 3253, 5000), (2, "a1", 1078, 1656)],
+    "u2": [(1, "a1", 1969, 2998), (2, "a0", 2118, 3349)],
 }
 
 
